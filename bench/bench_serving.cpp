@@ -35,6 +35,12 @@
  *     recovery time (.fault_recovery_sec) are CI-gated to stay
  *     present and finite, and the degraded run's Perfetto trace is
  *     written to serve_degraded.trace.json for the artifact trail.
+ *     The section also times the host: the untraced degraded run,
+ *     repeated on a fresh simulator, reports the median, minimum and
+ *     interquartile range of host microseconds per arrival
+ *     (.fault_serving_host_us_per_job; CI checks it is present and
+ *     finite, with no threshold). Every timed run must reproduce the
+ *     traced run's results to the bit.
  *
  * Exits nonzero when a gate fails: a serving run that drifts across
  * thread counts, a batching path that lost its win, a zero-fault run
@@ -42,6 +48,8 @@
  * not a warning.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -50,6 +58,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "fault/fault_trace.h"
 #include "obs/chrome_trace.h"
 #include "serve/fault_serving.h"
@@ -60,6 +69,11 @@ using namespace ciflow::serve;
 
 namespace
 {
+
+using Clock = std::chrono::steady_clock;
+
+/** Timed repeats of the untraced fault-serving run. */
+constexpr int kFaultTimedRuns = 31;
 
 /**
  * The two-class serving spec every section uses: ARK-shaped jobs
@@ -388,6 +402,37 @@ main()
     faultSim.exportMetrics(metrics);
     runner.exportMetrics(metrics);
 
+    // Host time of the fault-serving loop: the same degraded run,
+    // untraced, repeated on a fresh simulator after the metrics
+    // snapshot, so the metrics block counts only the runs above.
+    // Each timed run must reproduce the traced run to the bit.
+    FaultServingSim timedSim(healthySim);
+    std::vector<double> hostUsPerJob;
+    bool fault_timed_identical = true;
+    for (int i = 0; i < kFaultTimedRuns; ++i) {
+        std::vector<JobResult> o;
+        FaultServeStats st;
+        const Clock::time_point t0 = Clock::now();
+        const bool ok = timedSim.run(farr, ftr, pol, o, st).ok();
+        const double sec =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        fault_timed_identical = fault_timed_identical && ok &&
+                                serializeResults(o) ==
+                                    serializeResults(faultOut);
+        hostUsPerJob.push_back(sec * 1e6 /
+                               static_cast<double>(farr.size()));
+    }
+    std::sort(hostUsPerJob.begin(), hostUsPerJob.end());
+    const double hostUsMedian = stats::percentileSorted(hostUsPerJob, 0.5);
+    const double hostUsIqr = stats::percentileSorted(hostUsPerJob, 0.75) -
+                             stats::percentileSorted(hostUsPerJob, 0.25);
+    std::printf("fault-serving host time: %.2f us per job (median of "
+                "%d untraced runs; min %.2f, IQR %.2f) | timed runs %s\n",
+                hostUsMedian, kFaultTimedRuns, hostUsPerJob.front(),
+                hostUsIqr,
+                fault_timed_identical ? "bit-identical to the traced run"
+                                      : "DIVERGED");
+
     std::ofstream jf("BENCH_serve.json");
     if (jf) {
         benchutil::JsonWriter w(jf);
@@ -428,6 +473,12 @@ main()
                 static_cast<std::uint64_t>(faultSt.degradedJobs));
         w.field("healthy_p99_ms", faultSt.healthyP99Sec * 1e3);
         w.field("degraded_p99_ms", faultSt.degradedP99Sec * 1e3);
+        w.field("fault_serving_host_us_per_job", hostUsMedian);
+        w.field("fault_serving_host_us_per_job_min", hostUsPerJob.front());
+        w.field("fault_serving_host_us_per_job_iqr", hostUsIqr);
+        w.field("fault_serving_host_runs",
+                static_cast<std::uint64_t>(kFaultTimedRuns));
+        w.field("fault_timed_identical", fault_timed_identical);
         w.field("degraded_p99_over_healthy_p99",
                 degraded_over_healthy_p99);
         w.beginArray("rows");
@@ -473,6 +524,12 @@ main()
         std::fprintf(stderr,
                      "FAIL: zero-fault fault-serving run diverged "
                      "from the healthy serving loop\n");
+        pass = false;
+    }
+    if (!fault_timed_identical) {
+        std::fprintf(stderr,
+                     "FAIL: untraced fault-serving runs diverged from "
+                     "the traced run\n");
         pass = false;
     }
     if (faultSt.lostJobs != 0) {

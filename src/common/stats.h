@@ -10,7 +10,7 @@
  *   rank = clamp(ceil(p * n), 1, n);  result = sorted[rank - 1]
  *
  * so a percentile is always an *observed* value (never interpolated),
- * p <= 0 selects the minimum and p >= 1 the maximum. The helper exists
+ * p <= 0 (or NaN) selects the minimum and p >= 1 the maximum. The helper exists
  * so the convention is written once: FaultSim::monteCarlo computed it
  * inline before the serving layer needed the identical rule, and
  * tests/test_stats.cpp pins this implementation bitwise against that
@@ -40,8 +40,11 @@ inline double
 percentileSorted(const double *sorted, std::size_t n, double p)
 {
     panicIf(n == 0, "percentile of an empty sample");
+    // Clamp p before the cast: converting a negative or out-of-range
+    // double to size_t is undefined behaviour. NaN selects the minimum.
+    const double q = p > 0.0 ? (p < 1.0 ? p : 1.0) : 0.0;
     std::size_t r =
-        static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
+        static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
     if (r == 0)
         r = 1;
     if (r > n)

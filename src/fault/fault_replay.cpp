@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "common/logging.h"
 #include "obs/traced_replay.h"
@@ -87,6 +88,41 @@ foldSpans(const std::vector<std::vector<Span>> &spans, double timeShift,
     return ep;
 }
 
+/**
+ * One chip's fault spans over its `chipResources` local resources
+ * (DRAM channels first, then the compute pipes), in trace order:
+ * channel degrades on their channel, stalls on every resource. Other
+ * chips' events, ChipFail and LinkDegrade contribute nothing.
+ */
+std::vector<std::vector<Span>>
+chipSpans(const FaultTrace &trace, std::uint32_t shard,
+          std::size_t chipResources)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<std::vector<Span>> spans(chipResources);
+    for (const FaultEvent &e : trace.events) {
+        if (e.shard != shard)
+            continue;
+        switch (e.kind) {
+        case FaultKind::ChannelDegrade:
+            panicIf(e.channel >= chipResources,
+                    "fault event outside the chip block");
+            spans[e.channel].push_back({e.atSec, inf, e.factor});
+            break;
+        case FaultKind::TransientStall:
+            for (std::size_t r = 0; r < chipResources; ++r)
+                spans[r].push_back(
+                    {e.atSec, e.atSec + e.durSec, e.factor});
+            break;
+        default:
+            // ChipFail is failover's job; LinkDegrade has no meaning
+            // inside one chip's resource block.
+            break;
+        }
+    }
+    return spans;
+}
+
 } // namespace
 
 sim::RateEpochs
@@ -135,29 +171,88 @@ buildChipEpochs(const FaultTrace &trace, std::uint32_t shard,
 {
     if (trace.events.empty())
         return {};
+    return foldSpans(chipSpans(trace, shard, chipResources), timeShift,
+                     horizonSec);
+}
+
+ChipFaultTimeline::ChipFaultTimeline(const FaultTrace &trace,
+                                     std::size_t chips,
+                                     std::size_t chipResources)
+    : res(chipResources)
+{
+    panicIf(chipResources == 0, "fault timeline over an empty chip block");
     const double inf = std::numeric_limits<double>::infinity();
-    std::vector<std::vector<Span>> spans(chipResources);
-    for (const FaultEvent &e : trace.events) {
-        if (e.shard != shard)
-            continue;
-        switch (e.kind) {
-        case FaultKind::ChannelDegrade:
-            panicIf(e.channel >= chipResources,
-                    "fault event outside the chip block");
-            spans[e.channel].push_back({e.atSec, inf, e.factor});
-            break;
-        case FaultKind::TransientStall:
-            for (std::size_t r = 0; r < chipResources; ++r)
-                spans[r].push_back(
-                    {e.atSec, e.atSec + e.durSec, e.factor});
-            break;
-        default:
-            // ChipFail is failover's job; LinkDegrade has no meaning
-            // inside one chip's resource block.
-            break;
+    // State 0 is the all-ones vector; equal vectors share one id.
+    mults.assign(res, 1.0);
+    std::map<std::vector<double>, std::uint32_t> ids{{mults, 0}};
+    std::vector<double> m(res);
+    edgeOff.reserve(chips + 1);
+    for (std::size_t c = 0; c < chips; ++c) {
+        edgeOff.push_back(static_cast<std::uint32_t>(edges.size()));
+        const std::vector<std::vector<Span>> spans =
+            chipSpans(trace, static_cast<std::uint32_t>(c), res);
+        const std::size_t lo = edges.size();
+        for (const std::vector<Span> &rs : spans)
+            for (const Span &s : rs) {
+                edges.push_back(s.at);
+                if (s.end < inf)
+                    edges.push_back(s.end);
+            }
+        std::sort(edges.begin() + static_cast<std::ptrdiff_t>(lo),
+                  edges.end());
+        edges.erase(std::unique(edges.begin() +
+                                    static_cast<std::ptrdiff_t>(lo),
+                                edges.end()),
+                    edges.end());
+        // Before the first edge no span is active. Every span edge is
+        // an interval edge, so the active set (and the fold) is
+        // constant across each interval: evaluate at its left edge
+        // with foldSpans' exact product order.
+        stateOf.push_back(0);
+        for (std::size_t k = lo; k < edges.size(); ++k) {
+            const double abs = edges[k];
+            for (std::size_t r = 0; r < res; ++r) {
+                double p = 1.0;
+                for (const Span &s : spans[r])
+                    if (s.at <= abs && abs < s.end)
+                        p *= s.factor;
+                m[r] = p;
+            }
+            const auto [it, fresh] = ids.try_emplace(
+                m, static_cast<std::uint32_t>(stateCount()));
+            if (fresh)
+                mults.insert(mults.end(), m.begin(), m.end());
+            stateOf.push_back(it->second);
         }
     }
-    return foldSpans(spans, timeShift, horizonSec);
+    edgeOff.push_back(static_cast<std::uint32_t>(edges.size()));
+}
+
+void
+ChipFaultTimeline::epochs(const std::uint32_t *states, std::size_t n,
+                          std::size_t totalResources,
+                          sim::RateEpochs &out) const
+{
+    panicIf(n * res > totalResources,
+            "fault timeline blocks exceed the schedule's resources");
+    out.off.assign(totalResources + 1, 0);
+    out.at.clear();
+    out.mult.clear();
+    // foldSpans' table restricted to boundary 0: the state at the
+    // query time, one epoch per resource whose multiplier is not 1.
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t r = 0; r < res; ++r) {
+            out.off[i * res + r] = static_cast<std::uint32_t>(out.at.size());
+            const double m = mults[std::size_t{states[i]} * res + r];
+            if (m != 1.0) {
+                out.at.push_back(0.0);
+                out.mult.push_back(m);
+            }
+        }
+    for (std::size_t r = n * res; r <= totalResources; ++r)
+        out.off[r] = static_cast<std::uint32_t>(out.at.size());
+    if (out.mult.empty())
+        out.off.clear();
 }
 
 FaultSim::FaultSim(const TaskGraph &g, const shard::ShardSpec &sp,

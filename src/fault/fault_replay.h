@@ -24,11 +24,17 @@
  * Scenario evaluation is deterministic — a pure function of the trace
  * and the compiled schedule — and allocation-light after the first
  * run (scratch and masks are reused).
+ *
+ * ChipFaultTimeline is the per-trace index the serving loop prices
+ * short replays from: the state of every chip over time, so a replay
+ * under a constant fault state can be memoized instead of rebuilding
+ * its epoch table from the whole trace.
  */
 
 #ifndef CIFLOW_FAULT_FAULT_REPLAY_H
 #define CIFLOW_FAULT_FAULT_REPLAY_H
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -60,6 +66,11 @@ namespace ciflow::fault
  * events beyond the last departure are validated by checkTrace and
  * then cleanly ignored here instead of growing every segment's table.
  * The default (+inf) keeps every boundary.
+ *
+ * Rebuilding the table scans the whole trace (O(resources x spans^2)).
+ * Callers pricing many short replays against one trace should query a
+ * ChipFaultTimeline instead and rebuild only when the fault state
+ * changes inside the replay.
  */
 sim::RateEpochs buildEpochs(
     const FaultTrace &trace, const shard::ShardedCompiled &sc,
@@ -74,14 +85,91 @@ sim::RateEpochs buildEpochs(
  * `channel`, stalls of that chip on every local resource; events
  * targeting other chips, links, and ChipFail events are ignored.
  * Same time shift, horizon, and bit-exact fold semantics as
- * buildEpochs. The fault-aware serving loop prices each in-flight op
- * on a degraded chip through this table (ops replay in the op's local
- * clock, so timeShift is the op's absolute start).
+ * buildEpochs. Ops replay in the op's local clock, so timeShift is the
+ * op's absolute start. The fault-aware serving loop builds this table
+ * only for ops whose fault state changes mid-op (and for traced runs);
+ * every other op reads its constant state off a ChipFaultTimeline.
  */
 sim::RateEpochs buildChipEpochs(
     const FaultTrace &trace, std::uint32_t shard,
     std::size_t chipResources, double timeShift = 0.0,
     double horizonSec = std::numeric_limits<double>::infinity());
+
+/**
+ * Every chip's fault state over time, built once per trace: for each
+ * chip the sorted unique span edges (degrade starts, stall starts and
+ * ends) and, for each interval between them, an interned *state* — the
+ * per-resource multiplier vector folded in trace order exactly as
+ * buildChipEpochs folds it. State 0 is "every multiplier is 1".
+ *
+ * at(chip, t) returns the state at t and the distance x to the chip's
+ * next edge; epochs() turns states into the constant table that equals
+ * buildChipEpochs(trace, chip, R, t, h) bit for bit for every horizon h
+ * in (0, x]. A replay over that table that finishes at d < x never
+ * reaches an epoch of the unbounded table past its first (they all sit
+ * at >= x), so its makespan is the unbounded replay's to the bit — the
+ * same property buildEpochs' horizon relies on. Constant-state replays
+ * can therefore be memoized per (schedule, rates, state).
+ */
+class ChipFaultTimeline
+{
+  public:
+    /** One chip's fault state at a query time. */
+    struct Point
+    {
+        /** Interned multiplier vector; 0 = every multiplier is 1. */
+        std::uint32_t state = 0;
+        /** nextEdge - t (the subtraction buildChipEpochs' bounds use);
+         * +inf when no edge follows t. */
+        double x = std::numeric_limits<double>::infinity();
+    };
+
+    /**
+     * Fold the channel degrades and transient stalls of a normalized
+     * `trace` for chips [0, chips) with `chipResources` resources each
+     * (ChipFail and LinkDegrade are ignored, as in buildChipEpochs).
+     */
+    ChipFaultTimeline(const FaultTrace &trace, std::size_t chips,
+                      std::size_t chipResources);
+
+    /** State of `chip` at absolute time t (intervals are [edge, next)). */
+    Point at(std::uint32_t chip, double t) const
+    {
+        const double *lo = edges.data() + edgeOff[chip];
+        const double *hi = edges.data() + edgeOff[chip + 1];
+        const double *e = std::upper_bound(lo, hi, t);
+        return {stateOf[edgeOff[chip] + chip + (e - lo)],
+                e < hi ? *e - t
+                       : std::numeric_limits<double>::infinity()};
+    }
+
+    /** Distinct states, including state 0. */
+    std::size_t stateCount() const { return mults.size() / res; }
+
+    /**
+     * Constant epoch table of `n` chip blocks in states[0..n), laid
+     * out back to back (block i covers resources [i * R, (i + 1) * R)
+     * for the constructor's R = chipResources) and padded with
+     * unfaulted resources to `totalResources`: one epoch at time 0 per
+     * resource whose multiplier differs from 1, empty when none does.
+     * n = 1 gives buildChipEpochs' table; a gang's chosen chips in slot
+     * order give buildEpochs' table over the slot-remapped trace.
+     */
+    void epochs(const std::uint32_t *states, std::size_t n,
+                std::size_t totalResources, sim::RateEpochs &out) const;
+
+  private:
+    std::size_t res = 1;
+    /** Per-chip offsets into `edges` (chips + 1 entries). */
+    std::vector<std::uint32_t> edgeOff;
+    /** Sorted unique span edges, chip by chip. */
+    std::vector<double> edges;
+    /** Interval states: chip c's interval k is stateOf[edgeOff[c] + c +
+     * k], k = 0 before the first edge. */
+    std::vector<std::uint32_t> stateOf;
+    /** State s's multipliers at [s * res, (s + 1) * res). */
+    std::vector<double> mults;
+};
 
 /** Outcome of one fault scenario. */
 struct DegradedOutcome

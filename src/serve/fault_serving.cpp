@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
+#include <map>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -107,7 +109,20 @@ struct FaultServingSim::Assets
     std::vector<OpSched> ops;
     /** gang[k]; null for single-chip classes. */
     std::vector<std::unique_ptr<Gang>> gang;
+    /** Resources of one chip block: every single-chip schedule's count
+     * and every gang compile's per-chip stride (the timeline's width). */
+    std::size_t chipRes = 0;
     sim::ReplayScratch scratch;
+    /** Constant-state epoch table a memo miss replays. */
+    sim::RateEpochs constEp;
+
+    /** Record one schedule's chip-block width; all must agree. */
+    void noteChipRes(std::size_t r)
+    {
+        panicIf(chipRes != 0 && chipRes != r,
+                "serving schedules disagree on the chip block width");
+        chipRes = r;
+    }
 };
 
 FaultServingSim::FaultServingSim(ServingSim &s)
@@ -136,6 +151,7 @@ FaultServingSim::FaultServingSim(ServingSim &s)
                 for (std::size_t b = 0; b < sim.uniqBw.size(); ++b)
                     RpuEngine(chipAt(sp.fleet, sim.uniqBw, b))
                         .rates(os.cs, os.rates[b]);
+                assets->noteChipRes(os.cs.resourceCount());
             }
             continue;
         }
@@ -159,6 +175,7 @@ FaultServingSim::FaultServingSim(ServingSim &s)
             assets->eng->compilePatchable(g->expHit->graph(), g->baseHit);
         assets->eng->rates(g->psMiss.compiled, g->rMiss);
         assets->eng->rates(g->psHit.compiled, g->rHit);
+        assets->noteChipRes(g->psMiss.compiled.perChip);
         g->slotAlive.assign(jc.shards, 1);
         g->activeSlots = jc.shards;
         g->liveMiss = sim.models[k].missRt[0];
@@ -264,6 +281,62 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         return false;
     };
 
+    // Constant-state pricing (see the header): the trace indexed once
+    // per run, and a memo of constant-state op durations keyed on
+    // (class, variant, bandwidth index, the chosen chips' states in
+    // slot order). Traced runs always rescan; a trace without rate
+    // events never prices a faulted op, so neither builds the index.
+    const bool memoPricing =
+        viz == nullptr &&
+        std::any_of(chipRate.begin(), chipRate.end(),
+                    [](char r) { return r != 0; });
+    std::optional<fault::ChipFaultTimeline> timeline;
+    if (memoPricing)
+        timeline.emplace(tr, K, assets->chipRes);
+    std::map<std::vector<std::uint32_t>, double> memo;
+    std::vector<std::uint32_t> memoKey;
+    std::vector<std::size_t> chosen;
+    constexpr std::size_t kKeyHead = 3; // class, variant, bandwidth
+
+    // How one op on the chosen chips is priced: Clean when no fault is
+    // active and none begins before `clean` elapses; Memo (setting
+    // `dur`) when the memoized constant-state replay ends strictly
+    // before the earliest next fault edge x — exact, since the full
+    // table differs only by epochs at >= x; Rescan otherwise.
+    enum class Price { Clean, Memo, Rescan };
+    const auto timelinePrice = [&](std::uint32_t k, std::size_t v,
+                                   std::size_t bwIdx,
+                                   const sim::CompiledSchedule &cs,
+                                   const sim::ReplayRates &rates,
+                                   double clean, double t, double &dur) {
+        memoKey.assign({k, static_cast<std::uint32_t>(v),
+                        static_cast<std::uint32_t>(bwIdx)});
+        double x = kInf;
+        bool faulted = false;
+        for (std::size_t c : chosen) {
+            const fault::ChipFaultTimeline::Point p =
+                timeline->at(static_cast<std::uint32_t>(c), t);
+            memoKey.push_back(p.state);
+            x = std::min(x, p.x);
+            faulted = faulted || p.state != 0;
+        }
+        if (!faulted)
+            return x < clean ? Price::Rescan : Price::Clean;
+        auto it = memo.find(memoKey);
+        if (it == memo.end()) {
+            timeline->epochs(memoKey.data() + kKeyHead, chosen.size(),
+                             cs.resourceCount(), assets->constEp);
+            it = memo.emplace(memoKey,
+                              cs.replayPiecewise(rates, assets->constEp,
+                                                 nullptr, assets->scratch))
+                     .first;
+        }
+        if (!(it->second < x))
+            return Price::Rescan;
+        dur = it->second;
+        return Price::Memo;
+    };
+
     // Effective deadline per job (absolute seconds).
     const auto deadlineOf = [&](std::uint32_t j) {
         return arrivals[j].atSec +
@@ -311,7 +384,6 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
     bool fleetDead = false;
     bool anySalvage = false;
     double firstFailAt = 0.0;
-    std::vector<std::size_t> chosen;
     std::vector<std::uint32_t> batchIds;
     char label[160];
 
@@ -444,6 +516,10 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             }
             ++stats.failovers;
             g->failedOver = true;
+            // Durations memoized under the old binding are stale.
+            memo.erase(
+                memo.lower_bound({static_cast<std::uint32_t>(k)}),
+                memo.lower_bound({static_cast<std::uint32_t>(k + 1)}));
             g->liveMiss = assets->eng->replayRuntime(g->psMiss.compiled);
             g->liveHit = assets->eng->replayRuntime(g->psHit.compiled);
             assets->eng->rates(g->psMiss.compiled, g->rMiss);
@@ -599,34 +675,38 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             pending.swap(rest);
         }
 
-        // Any rate events on the gang's chips? Remap them once per
-        // dispatch into slot coordinates (chosen[i] -> slot i).
-        bool gangAffected = false;
-        if (g) {
-            for (std::size_t c : chosen)
-                gangAffected = gangAffected || chipRate[c] != 0;
-            if (gangAffected) {
-                remapped.events.clear();
-                for (const fault::FaultEvent &e : tr.events) {
-                    if (e.kind != fault::FaultKind::ChannelDegrade &&
-                        e.kind != fault::FaultKind::TransientStall)
-                        continue;
-                    for (std::size_t i = 0; i < width; ++i)
-                        if (chosen[i] == e.shard) {
-                            fault::FaultEvent ev = e;
-                            ev.shard = static_cast<std::uint32_t>(i);
-                            remapped.events.push_back(ev);
-                            break;
-                        }
-                }
-                remapped.normalize();
-                gangAffected = !remapped.events.empty();
+        // Any rate events on the chosen chips? A gang's rescan prices
+        // against the trace remapped into slot coordinates (chosen[i]
+        // -> slot i), built on first use per dispatch.
+        bool affected = false;
+        for (std::size_t c : chosen)
+            affected = affected || chipRate[c] != 0;
+        bool remappedReady = false;
+        const auto remappedTrace = [&]() -> const fault::FaultTrace & {
+            if (remappedReady)
+                return remapped;
+            remapped.events.clear();
+            for (const fault::FaultEvent &e : tr.events) {
+                if (e.kind != fault::FaultKind::ChannelDegrade &&
+                    e.kind != fault::FaultKind::TransientStall)
+                    continue;
+                for (std::size_t i = 0; i < width; ++i)
+                    if (chosen[i] == e.shard) {
+                        fault::FaultEvent ev = e;
+                        ev.shard = static_cast<std::uint32_t>(i);
+                        remapped.events.push_back(ev);
+                        break;
+                    }
             }
-        }
+            remapped.normalize();
+            remappedReady = true;
+            return remapped;
+        };
         const bool gangFo = g && g->activeSlots < m.shards;
 
-        // Execute: per-op pricing through the clean scalars, or a
-        // piecewise replay when a fault epoch overlaps the op.
+        // Execute: per-op pricing through the clean scalars, the
+        // constant-state memo, or a piecewise replay of the op's epoch
+        // table rebuilt from the trace when a fault edge cuts the op.
         const std::uint32_t firstChip = static_cast<std::uint32_t>(
             *std::min_element(chosen.begin(), chosen.end()));
         const std::uint32_t recIdx =
@@ -644,67 +724,61 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             const double jobStart = t;
             bool jobDegraded = false;
             for (std::size_t i = 0; i < mask.size(); ++i) {
-                double dur = 0.0;
-                bool opDegraded = false;
-                if (!g) {
-                    const Assets::OpSched &os =
-                        assets->ops[k * 2 + (mask[i] ? 1 : 0)];
-                    const double clean =
-                        mask[i] ? m.hitRt[bwIdx] : m.missRt[bwIdx];
-                    if (chipRate[chosen[0]]) {
-                        ep = fault::buildChipEpochs(
-                            tr, static_cast<std::uint32_t>(chosen[0]),
-                            os.cs.resourceCount(), t);
-                        opDegraded = firstBoundary(ep) < clean;
-                    }
-                    if (!opDegraded) {
-                        dur = clean;
-                        if (viz && sim.viz_) {
-                            obs::TraceSegment seg;
-                            seg.baseSec = t;
-                            seg.resourceBase = static_cast<std::uint32_t>(
-                                firstChip * sim.viz_->perChip);
-                            seg.buf =
-                                sim.viz_->bufs[k][mask[i] ? 1 : 0][bwIdx];
-                            viz->segments.push_back(std::move(seg));
-                        }
-                    } else if (viz) {
+                const std::size_t v = mask[i] ? 1 : 0;
+                const Assets::OpSched *os =
+                    g ? nullptr : &assets->ops[k * 2 + v];
+                const sim::CompiledSchedule &cs =
+                    g ? (v ? g->psHit : g->psMiss).compiled.schedule
+                      : os->cs;
+                const sim::ReplayRates &rates =
+                    g ? (v ? g->rHit : g->rMiss) : os->rates[bwIdx];
+                const double clean =
+                    g ? (v ? g->liveHit : g->liveMiss)
+                      : (v ? m.hitRt[bwIdx] : m.missRt[bwIdx]);
+                double dur = clean;
+                Price how = Price::Clean;
+                if (affected)
+                    how = memoPricing ? timelinePrice(k, v, bwIdx, cs, rates,
+                                                      clean, t, dur)
+                                      : Price::Rescan;
+                bool opDegraded = how == Price::Memo;
+                if (how == Price::Rescan) {
+                    ep = g ? fault::buildEpochs(remappedTrace(),
+                                                g->psMiss.compiled, t)
+                           : fault::buildChipEpochs(
+                                 tr, static_cast<std::uint32_t>(chosen[0]),
+                                 cs.resourceCount(), t);
+                    opDegraded = firstBoundary(ep) < clean;
+                    if (opDegraded && viz && !g) {
                         obs::TraceSegment seg;
                         seg.baseSec = t;
                         seg.resourceBase = static_cast<std::uint32_t>(
-                            firstChip *
-                            (sim.viz_ ? sim.viz_->perChip
-                                      : os.cs.resourceCount()));
+                            firstChip * (sim.viz_ ? sim.viz_->perChip
+                                                  : cs.resourceCount()));
                         seg.epochs = ep;
                         dur = obs::replayPiecewiseTraced(
-                            os.cs, os.rates[bwIdx], ep, nullptr,
-                            assets->scratch, seg.buf);
+                            cs, rates, ep, nullptr, assets->scratch,
+                            seg.buf);
                         viz->segments.push_back(std::move(seg));
-                    } else {
-                        dur = os.cs.replayPiecewise(os.rates[bwIdx], ep,
-                                                    nullptr,
-                                                    assets->scratch);
+                    } else if (opDegraded) {
+                        dur = cs.replayPiecewise(rates, ep, nullptr,
+                                                 assets->scratch);
                     }
-                } else {
-                    const double clean =
-                        mask[i] ? g->liveHit : g->liveMiss;
-                    if (gangAffected) {
-                        ep = fault::buildEpochs(remapped,
-                                                g->psMiss.compiled, t);
-                        opDegraded = firstBoundary(ep) < clean;
-                    }
-                    if (!opDegraded) {
-                        dur = clean;
-                    } else {
-                        const shard::ShardedPatchable &ps =
-                            mask[i] ? g->psHit : g->psMiss;
-                        dur = ps.compiled.schedule.replayPiecewise(
-                            mask[i] ? g->rHit : g->rMiss, ep, nullptr,
-                            assets->scratch);
-                    }
+                }
+                if (!opDegraded && viz && sim.viz_ && !g) {
+                    obs::TraceSegment seg;
+                    seg.baseSec = t;
+                    seg.resourceBase = static_cast<std::uint32_t>(
+                        firstChip * sim.viz_->perChip);
+                    seg.buf = sim.viz_->bufs[k][v][bwIdx];
+                    viz->segments.push_back(std::move(seg));
                 }
                 t += dur;
                 jobDegraded = jobDegraded || opDegraded;
+                if (how == Price::Rescan)
+                    ++nRescanOps;
+                else if (how == Price::Memo)
+                    ++nMemoOps;
             }
             JobResult &res = out[j];
             res.arriveSec = arrivals[j].atSec;
@@ -844,6 +918,8 @@ FaultServingSim::exportMetrics(obs::MetricsRegistry &m,
     m.count(prefix + "chip_failures", nChipFailures);
     m.count(prefix + "failovers", nFailovers);
     m.count(prefix + "migrated_bytes", nMigratedBytes);
+    m.count(prefix + "memo_priced_ops", nMemoOps);
+    m.count(prefix + "rescan_priced_ops", nRescanOps);
     m.gauge(prefix + "healthy_p99_sec", lastStats.healthyP99Sec);
     m.gauge(prefix + "degraded_p99_sec", lastStats.degradedP99Sec);
     m.gauge(prefix + "degraded_over_healthy_p99",

@@ -15,11 +15,15 @@
  *    fleet.
  *  - In-flight ops on a degraded chip are priced through
  *    CompiledSchedule::replayPiecewise over per-chip epoch tables
- *    (fault::buildChipEpochs) instead of the clean cached scalars; a
- *    chip with no active fault prices through the identical ClassModel
- *    scalars the healthy path uses, so a zero-fault run is
- *    bit-identical to ServingSim::run (asserted by tests and the
- *    serving benchmark before any timing).
+ *    instead of the clean cached scalars; a chip with no active fault
+ *    prices through the identical ClassModel scalars the healthy path
+ *    uses, so a zero-fault run is bit-identical to ServingSim::run
+ *    (asserted by tests and the serving benchmark before any timing).
+ *    Each run indexes the trace once as a fault::ChipFaultTimeline:
+ *    an op whose chip state stays constant for its whole replay is
+ *    priced from a per-(schedule, bandwidth, state) memo of one
+ *    constant-table replay (exact, see docs/serving.md); only ops a
+ *    state change cuts rebuild the table (fault::buildChipEpochs).
  *  - A ChipFail salvages the dead chip's in-flight batch — jobs whose
  *    simulated finish lies beyond the failure — into a retry queue
  *    with bounded retries, exponential backoff and per-job deadlines:
@@ -168,7 +172,8 @@ class FaultServingSim
      * completed jobs carry their final (possibly retried) execution,
      * rejected jobs carry rejected = true with startSec == finishSec
      * == the rejection time. An empty trace reproduces
-     * ServingSim::run bit-identically. When `viz` is non-null,
+     * ServingSim::run bit-identically. When `viz` is non-null, every
+     * faulted op is priced by the per-op rebuild (no memo), and run
      * additionally assembles the fleet-wide ScenarioTrace with
      * degraded ops recorded through obs::replayPiecewiseTraced (their
      * segments carry the epoch table), chip failures, migrations,
@@ -187,9 +192,11 @@ class FaultServingSim
     /**
      * Export cumulative fault-serving counters into `m` under
      * `prefix`: completed/rejected/timed-out/lost jobs, retries,
-     * salvaged jobs, chip failures, failovers, migrated bytes
-     * (counters) plus last-run healthy/degraded p99, their ratio,
-     * recovery seconds and migration seconds (gauges). Totals since
+     * salvaged jobs, chip failures, failovers, migrated bytes, and the
+     * faulted-op pricing split — ops priced from the constant-state
+     * memo vs ops that rebuilt their epoch table (counters) — plus
+     * last-run healthy/degraded p99, their ratio, recovery seconds
+     * and migration seconds (gauges). Totals since
      * construction — export once per registry, at harness-dump time.
      */
     void exportMetrics(obs::MetricsRegistry &m,
@@ -207,6 +214,7 @@ class FaultServingSim
     std::size_t nRetries = 0, nSalvaged = 0, nChipFailures = 0;
     std::size_t nFailovers = 0;
     std::uint64_t nMigratedBytes = 0;
+    std::size_t nMemoOps = 0, nRescanOps = 0;
     FaultServeStats lastStats;
 };
 

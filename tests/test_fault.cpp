@@ -5,14 +5,17 @@
  * rate epochs (hand-computed crossings, static-fold bit-identity,
  * zero-fault identity with plain replay), chip-failure failover
  * through the patch path, Monte Carlo determinism across runs and
- * thread counts, the replay watchdog death paths, and the structured
- * (non-aborting) error variants of graph validation and replay.
+ * thread counts, the replay watchdog death paths, the structured
+ * (non-aborting) error variants of graph validation and replay, and
+ * the chip fault timeline against the epoch-table builders.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -685,3 +688,273 @@ TEST(Failover, MigrationSecondsScalesWithPayloadAndTopology)
 }
 
 } // namespace
+
+namespace
+{
+
+/**
+ * Seeded rate-only trace on `chips` chips of `channels` channels:
+ * channel degrades and overlapping transient stalls with factors
+ * below, at and above 1. Half the times sit on a 1/8 grid so edges
+ * collide (a stall ending exactly where another event starts); the
+ * rest are arbitrary doubles, so shifted bounds round. ChipFail
+ * events ride along (the timeline ignores them).
+ */
+FaultTrace
+seededRateTrace(std::uint64_t seed, std::uint32_t chips,
+                std::uint32_t channels)
+{
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::uint64_t n) { return rng() % n; };
+    const auto time = [&]() {
+        return pick(2) == 0
+                   ? static_cast<double>(pick(64)) / 8.0
+                   : std::uniform_real_distribution<double>(0.0, 8.0)(rng);
+    };
+    const double factors[] = {0.25, 0.5, 0.8, 1.0, 1.5};
+    FaultTrace tr;
+    for (int i = 0; i < 14; ++i) {
+        const auto chip = static_cast<std::uint32_t>(pick(chips));
+        const double f = factors[pick(5)];
+        if (pick(3) == 0) {
+            tr.events.push_back(chanDegrade(
+                time(), chip, static_cast<std::uint32_t>(pick(channels)),
+                f));
+        } else {
+            FaultEvent e;
+            e.atSec = time();
+            e.kind = FaultKind::TransientStall;
+            e.shard = chip;
+            e.factor = f;
+            e.durSec = static_cast<double>(1 + pick(16)) / 8.0;
+            tr.events.push_back(e);
+        }
+    }
+    tr.events.push_back(chipFail(time(), 0));
+    tr.normalize();
+    return tr;
+}
+
+bool
+sameEpochs(const sim::RateEpochs &a, const sim::RateEpochs &b)
+{
+    return a.off == b.off && a.at == b.at && a.mult == b.mult;
+}
+
+double
+firstBoundary(const sim::RateEpochs &ep)
+{
+    double first = kInf;
+    for (double a : ep.at)
+        first = std::min(first, a);
+    return first;
+}
+
+/** Every span edge of `chip` in `tr`, plus a neighbour on each side
+ * and a few arbitrary times: the query points a timeline test needs. */
+std::vector<double>
+queryTimes(const FaultTrace &tr, std::uint32_t chip, std::mt19937_64 &rng)
+{
+    std::vector<double> ts{0.0, 100.0};
+    for (const FaultEvent &e : tr.events) {
+        if (e.shard != chip || e.kind == FaultKind::ChipFail)
+            continue;
+        std::vector<double> edges{e.atSec};
+        if (e.kind == FaultKind::TransientStall)
+            edges.push_back(e.atSec + e.durSec);
+        for (double x : edges) {
+            ts.push_back(x);
+            ts.push_back(std::nextafter(x, 0.0));
+            ts.push_back(std::nextafter(x, kInf));
+        }
+    }
+    for (int i = 0; i < 16; ++i)
+        ts.push_back(std::uniform_real_distribution<double>(0.0, 10.0)(rng));
+    return ts;
+}
+
+} // namespace
+
+TEST(ChipEpochs, TimelineQueryMatchesChipTablesBitForBit)
+{
+    // At every query time: x is the chip's next span edge minus t, the
+    // state's constant table equals buildChipEpochs bounded by any
+    // horizon in (0, x], and the unbounded table agrees with the
+    // first-boundary decision (state != 0: a boundary at 0; state 0:
+    // nothing before x).
+    constexpr std::uint32_t kChips = 3, kChannels = 2;
+    constexpr std::size_t kRes = kChannels + 1;
+    std::size_t nonzero = 0, cleanDecided = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const FaultTrace tr = seededRateTrace(seed, kChips, kChannels);
+        const ChipFaultTimeline tl(tr, kChips, kRes);
+        std::mt19937_64 rng(seed * 7919);
+        sim::RateEpochs constant;
+        for (std::uint32_t c = 0; c < kChips; ++c) {
+            for (double t : queryTimes(tr, c, rng)) {
+                const ChipFaultTimeline::Point p = tl.at(c, t);
+                ASSERT_LT(p.state, tl.stateCount());
+                // x against an independent scan of the chip's edges.
+                double next = kInf;
+                for (const FaultEvent &e : tr.events) {
+                    if (e.shard != c || e.kind == FaultKind::ChipFail)
+                        continue;
+                    if (e.atSec > t)
+                        next = std::min(next, e.atSec);
+                    if (e.kind == FaultKind::TransientStall &&
+                        e.atSec + e.durSec > t)
+                        next = std::min(next, e.atSec + e.durSec);
+                }
+                EXPECT_EQ(p.x, next < kInf ? next - t : kInf)
+                    << "seed " << seed << " chip " << c << " t " << t;
+                EXPECT_GT(p.x, 0.0);
+
+                tl.epochs(&p.state, 1, kRes, constant);
+                EXPECT_EQ(p.state == 0, constant.empty());
+                EXPECT_TRUE(sameEpochs(
+                    constant, buildChipEpochs(tr, c, kRes, t, p.x)))
+                    << "seed " << seed << " chip " << c << " t " << t;
+                if (p.x < kInf) {
+                    EXPECT_TRUE(sameEpochs(
+                        constant,
+                        buildChipEpochs(tr, c, kRes, t, 0.5 * p.x)));
+                }
+
+                const sim::RateEpochs full =
+                    buildChipEpochs(tr, c, kRes, t);
+                for (double a : full.at)
+                    EXPECT_TRUE(a == 0.0 || a >= p.x);
+                if (p.state != 0) {
+                    ++nonzero;
+                    EXPECT_EQ(firstBoundary(full), 0.0);
+                } else {
+                    // "state 0 and x >= clean" prices clean exactly
+                    // when the full table's first boundary says so.
+                    ++cleanDecided;
+                    EXPECT_GE(firstBoundary(full), p.x);
+                }
+            }
+        }
+    }
+    EXPECT_GT(nonzero, 100u);
+    EXPECT_GT(cleanDecided, 100u);
+}
+
+TEST(ChipEpochs, TimelineInternsEqualStatesAcrossChips)
+{
+    // Equal multiplier vectors share one id, on any chip and in any
+    // interval; a factor-1 degrade and an expired stall are state 0.
+    FaultTrace tr;
+    tr.events.push_back(chanDegrade(1.0, 0, 0, 0.5));
+    tr.events.push_back(chanDegrade(2.0, 1, 0, 0.5));
+    tr.events.push_back(chanDegrade(0.5, 2, 1, 1.0));
+    FaultEvent stall;
+    stall.atSec = 3.0;
+    stall.kind = FaultKind::TransientStall;
+    stall.shard = 2;
+    stall.factor = 0.5;
+    stall.durSec = 1.0;
+    tr.events.push_back(stall);
+    tr.normalize();
+    const ChipFaultTimeline tl(tr, 3, 3);
+
+    EXPECT_EQ(tl.at(0, 0.5).state, 0u);
+    EXPECT_EQ(tl.at(0, 0.5).x, 0.5);
+    EXPECT_NE(tl.at(0, 1.0).state, 0u);
+    EXPECT_EQ(tl.at(0, 1.0).x, kInf);
+    EXPECT_EQ(tl.at(0, 1.0).state, tl.at(1, 2.5).state);
+    EXPECT_EQ(tl.at(2, 1.0).state, 0u); // factor 1.0 folds to 1
+    EXPECT_NE(tl.at(2, 3.0).state, 0u);
+    EXPECT_EQ(tl.at(2, 3.0).x, 1.0);
+    EXPECT_EQ(tl.at(2, 4.0).state, 0u); // the stall ended at 4
+    // States: all ones, {0.5, 1, 1} and the stall's {0.5, 0.5, 0.5}.
+    EXPECT_EQ(tl.stateCount(), 3u);
+}
+
+TEST(ChipEpochs, TimelineBlocksMatchSlotRemappedShardTable)
+{
+    // A gang on chips {2, 0} (slot order): the blocks of the chosen
+    // chips' states equal buildEpochs over the trace remapped into
+    // slot coordinates, bounded by the earliest next edge.
+    constexpr std::uint32_t kChips = 3, kChannels = 2;
+    constexpr std::size_t kRes = kChannels + 1;
+    shard::ShardedCompiled sc;
+    sc.shards = 2;
+    sc.perChip = kRes;
+    sc.links = 1;
+    const std::size_t nres = sc.shards * sc.perChip + sc.links;
+    const std::uint32_t chosen[] = {2, 0};
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const FaultTrace tr = seededRateTrace(seed, kChips, kChannels);
+        FaultTrace remapped;
+        for (const FaultEvent &e : tr.events)
+            for (std::uint32_t s = 0; s < 2; ++s)
+                if (e.kind != FaultKind::ChipFail && chosen[s] == e.shard) {
+                    FaultEvent ev = e;
+                    ev.shard = s;
+                    remapped.events.push_back(ev);
+                }
+        remapped.normalize();
+        const ChipFaultTimeline tl(tr, kChips, kRes);
+        std::mt19937_64 rng(seed);
+        std::vector<double> ts = queryTimes(tr, 2, rng);
+        const std::vector<double> more = queryTimes(tr, 0, rng);
+        ts.insert(ts.end(), more.begin(), more.end());
+        sim::RateEpochs blocks;
+        for (double t : ts) {
+            std::uint32_t states[2];
+            double x = kInf;
+            for (std::uint32_t s = 0; s < 2; ++s) {
+                const ChipFaultTimeline::Point p = tl.at(chosen[s], t);
+                states[s] = p.state;
+                x = std::min(x, p.x);
+            }
+            tl.epochs(states, 2, nres, blocks);
+            EXPECT_TRUE(sameEpochs(blocks, buildEpochs(remapped, sc, t, x)))
+                << "seed " << seed << " t " << t;
+        }
+    }
+}
+
+TEST(ChipEpochs, ConstantStateReplayIsExactBelowTheNextEdge)
+{
+    // The memo argument on a real HKS schedule: a replay over the
+    // state's constant table that ends at d < x equals the replay over
+    // the full table, including when the next edge lies just past d;
+    // at x == d the caller must rescan (and then gets the same d).
+    Rig rig(1);
+    const sim::CompiledSchedule cs = RpuEngine(rig.chip).compile(rig.g);
+    sim::ReplayRates rates;
+    RpuEngine(rig.chip).rates(cs, rates);
+    sim::ReplayScratch scratch;
+    const std::size_t R = cs.resourceCount();
+
+    FaultTrace base;
+    base.events.push_back(chanDegrade(0.0, 0, 0, 0.5));
+    const ChipFaultTimeline tl0(base, 1, R);
+    sim::RateEpochs constant;
+    const std::uint32_t st = tl0.at(0, 0.0).state;
+    ASSERT_NE(st, 0u);
+    tl0.epochs(&st, 1, R, constant);
+    const double d = cs.replayPiecewise(rates, constant, nullptr, scratch);
+    ASSERT_GT(d, cs.replay(rates, scratch));
+
+    for (double edge : {std::nextafter(d, kInf), 2.0 * d, d}) {
+        FaultTrace tr = base;
+        FaultEvent stall;
+        stall.atSec = edge;
+        stall.kind = FaultKind::TransientStall;
+        stall.factor = 0.25;
+        stall.durSec = d;
+        tr.events.push_back(stall);
+        tr.normalize();
+        const ChipFaultTimeline tl(tr, 1, R);
+        const ChipFaultTimeline::Point p = tl.at(0, 0.0);
+        EXPECT_EQ(p.state, st);
+        EXPECT_EQ(p.x, edge);
+        EXPECT_EQ(d < p.x, edge != d);
+        const double full = cs.replayPiecewise(
+            rates, buildChipEpochs(tr, 0, R, 0.0), nullptr, scratch);
+        EXPECT_EQ(full, d) << "edge " << edge;
+    }
+}

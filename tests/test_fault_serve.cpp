@@ -10,7 +10,9 @@
  * repeats and estimator thread counts, open-horizon events being
  * cleanly ignored, stream/policy/trace validation through the
  * non-panicking entry points, tenant/fault seed-stream disjointness,
- * chip-local epoch tables, and the Chrome-trace cut clamp.
+ * the timeline/memo pricing against the per-op rescan reference
+ * (seeded traces, hand-placed edges, traced runs), chip-local epoch
+ * tables, and the Chrome-trace cut clamp.
  */
 
 #include <gtest/gtest.h>
@@ -20,13 +22,16 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/failover.h"
 #include "fault/fault_replay.h"
 #include "fault/fault_trace.h"
 #include "obs/chrome_trace.h"
+#include "obs/metrics.h"
 #include "rpu/experiment.h"
 #include "rpu/workload.h"
 #include "serve/arrivals.h"
@@ -126,6 +131,81 @@ serializeFault(const std::vector<JobResult> &v)
         s += line;
     }
     return s;
+}
+
+/** Every FaultServeStats field, bit for bit. */
+bool
+sameFaultStats(const FaultServeStats &a, const FaultServeStats &b)
+{
+    return sameServeStats(a.done, b.done) &&
+           a.completedJobs == b.completedJobs &&
+           a.rejectedJobs == b.rejectedJobs &&
+           a.timedOutJobs == b.timedOutJobs && a.lostJobs == b.lostJobs &&
+           a.retries == b.retries && a.salvagedJobs == b.salvagedJobs &&
+           a.chipFailures == b.chipFailures && a.failovers == b.failovers &&
+           a.migratedBytes == b.migratedBytes &&
+           a.migrationSec == b.migrationSec &&
+           a.healthyJobs == b.healthyJobs &&
+           a.degradedJobs == b.degradedJobs &&
+           a.healthyP50Sec == b.healthyP50Sec &&
+           a.healthyP99Sec == b.healthyP99Sec &&
+           a.degradedP50Sec == b.degradedP50Sec &&
+           a.degradedP99Sec == b.degradedP99Sec &&
+           a.degradedOverHealthyP99 == b.degradedOverHealthyP99 &&
+           a.recoverySec == b.recoverySec;
+}
+
+/** Lifetime (memo-priced, rescan-priced) op counters of `fs`. */
+std::pair<std::uint64_t, std::uint64_t>
+pricingSplit(const FaultServingSim &fs)
+{
+    obs::MetricsRegistry m;
+    fs.exportMetrics(m, "");
+    std::pair<std::uint64_t, std::uint64_t> split{0, 0};
+    for (const obs::Metric &x : m.snapshot()) {
+        if (x.name == "memo_priced_ops")
+            split.first = x.count;
+        if (x.name == "rescan_priced_ops")
+            split.second = x.count;
+    }
+    return split;
+}
+
+/**
+ * Serve `arr` under `tr` twice on `fs` — timeline/memo pricing, then
+ * the rescan reference (a traced run, which prices every faulted op by
+ * rebuilding its epoch table) — and expect every JobResult and every
+ * FaultServeStats field to agree to the bit. Returns the memo run's
+ * (memo-priced, rescan-priced) op counts.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+expectMemoMatchesRescan(FaultServingSim &fs,
+                        const std::vector<JobArrival> &arr,
+                        const fault::FaultTrace &tr,
+                        const RetryPolicy &pol,
+                        std::vector<JobResult> *memoOut = nullptr)
+{
+    std::vector<JobResult> out, ref;
+    FaultServeStats st, rst;
+    const auto before = pricingSplit(fs);
+    EXPECT_TRUE(fs.run(arr, tr, pol, out, st).ok());
+    const auto after = pricingSplit(fs);
+    obs::ScenarioTrace viz;
+    EXPECT_TRUE(fs.run(arr, tr, pol, ref, rst, &viz).ok());
+    EXPECT_EQ(serializeFault(out), serializeFault(ref));
+    EXPECT_TRUE(sameFaultStats(st, rst));
+    EXPECT_EQ(pricingSplit(fs).first, after.first)
+        << "the reference run used the memo";
+    if (memoOut)
+        *memoOut = out;
+    return {after.first - before.first, after.second - before.second};
+}
+
+/** A stall event (factor `f`, `dur` seconds) on `chip` at `at`. */
+fault::FaultEvent
+stallAt(double at, std::uint32_t chip, double f, double dur)
+{
+    return {at, fault::FaultKind::TransientStall, chip, 0, f, dur};
 }
 
 TEST(FaultServe, PolicyAndStreamValidation)
@@ -855,6 +935,181 @@ TEST(FaultServe, TenantAndFaultSeedStreamsAreDisjoint)
         for (std::uint64_t s = 0; s < 64; ++s)
             EXPECT_NE(tenantStreamSeed(seed, t), faultStreamSeed(seed, s))
                 << "tenant " << t << " scenario " << s;
+}
+
+TEST(FaultServe, TimelineMemoMatchesRescanReferenceOnSeededTraces)
+{
+    // Seeded traces with degrades and overlapping stalls at factors
+    // below, at and above 1, edges on a shared grid (stalls that end
+    // where another begins) and 0-2 chip failures (two push the gang
+    // class through failover): the timeline/memo loop must reproduce
+    // the per-op rescan reference to the bit, on a mixed single-chip +
+    // gang fleet, a two-bandwidth single-chip fleet and a gang-only
+    // fleet.
+    const HksParams &ark = benchmarkByName("ARK");
+    const HksParams &bts = benchmarkByName("BTS1");
+    ServeSpec mixed;
+    mixed.classes.push_back(
+        {"reduce4", HeWorkload::reduction(4), ark, Dataflow::OC, 1});
+    mixed.classes.push_back(
+        {"matvec2", HeWorkload::matVec(2), ark, Dataflow::OC, 1});
+    mixed.classes.push_back(
+        {"gang2", HeWorkload::reduction(2), bts, Dataflow::MP, 2});
+    mixed.fleet.chip.bandwidthGBps = 8.0;
+    mixed.fleet.chips = 3;
+    mixed.fleet.keyCacheBytes = ark.evkBytes() * 4;
+    mixed.batch.targetBatch = 2;
+    // Gang classes need a homogeneous fleet: the two-bandwidth fleet
+    // serves the single-chip classes alone.
+    ServeSpec hetero = mixed;
+    hetero.classes.pop_back();
+    hetero.fleet.chipBandwidthGBps = {8.0, 4.0, 8.0};
+    ServeSpec gangOnly = mixed;
+    gangOnly.classes.erase(gangOnly.classes.begin(),
+                           gangOnly.classes.begin() + 2);
+
+    std::uint64_t memoOps = 0, rescanOps = 0, failovers = 0;
+    for (const ServeSpec *sp : {&mixed, &hetero, &gangOnly}) {
+        ExperimentRunner runner(2);
+        ServingSim sim(*sp, runner);
+        FaultServingSim fs(sim);
+        const double cold = sim.classServiceSec(0, false);
+        const std::uint32_t channels = sp->fleet.chip.channelCount();
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            ArrivalSpec as;
+            as.horizonSec = 12.0 * cold;
+            as.tenants.push_back({1.5 / cold, {1.0, 1.0, 1.0}});
+            as.tenants.push_back({1.0 / cold, {1.0, 2.0, 1.0}});
+            for (TenantSpec &ts : as.tenants)
+                ts.classWeights.resize(sp->classes.size(), 1.0);
+            const std::vector<JobArrival> arr = poissonArrivals(as, seed);
+
+            std::mt19937_64 rng(seed);
+            const auto pick = [&](std::uint64_t n) { return rng() % n; };
+            const auto when = [&]() {
+                return pick(2) == 0
+                           ? 0.25 * cold * static_cast<double>(pick(48))
+                           : std::uniform_real_distribution<double>(
+                                 0.0, 12.0 * cold)(rng);
+            };
+            const double factors[] = {0.3, 0.7, 1.0, 1.6};
+            fault::FaultTrace tr;
+            for (int i = 0; i < 12; ++i)
+                tr.events.push_back(stallAt(
+                    when(), static_cast<std::uint32_t>(pick(3)),
+                    factors[pick(4)],
+                    0.25 * cold * static_cast<double>(1 + pick(8))));
+            for (int i = 0; i < 2; ++i)
+                tr.events.push_back(
+                    {when(), fault::FaultKind::ChannelDegrade,
+                     static_cast<std::uint32_t>(pick(3)),
+                     static_cast<std::uint32_t>(pick(channels)),
+                     factors[pick(4)], 0.0});
+            for (std::uint32_t c = 1; c <= seed % 3; ++c)
+                tr.events.push_back(
+                    {(2.0 + 4.0 * c) * cold, fault::FaultKind::ChipFail,
+                     c, 0, 1.0, 0.0});
+            tr.normalize();
+
+            RetryPolicy pol;
+            pol.backoffSec = 0.25 * cold;
+            pol.deadlineSec = 60.0 * cold;
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                         std::to_string(sp->classes.size()) +
+                         " classes");
+            const auto split = expectMemoMatchesRescan(fs, arr, tr, pol);
+            memoOps += split.first;
+            rescanOps += split.second;
+
+            FaultServeStats st;
+            std::vector<JobResult> again;
+            ASSERT_TRUE(fs.run(arr, tr, pol, again, st).ok());
+            failovers += st.failovers;
+        }
+        EXPECT_GT(memoOps, 0u);
+    }
+    // Both pricing routes and the failover path were exercised.
+    EXPECT_GT(rescanOps, 0u);
+    EXPECT_GT(failovers, 0u);
+}
+
+TEST(FaultServe, TimelineMemoEdgeCasesMatchRescanReference)
+{
+    // Hand-placed edges around one single-op job on one chip: a stall
+    // ending exactly at the op's start, a permanent degrade whose
+    // memoized duration d meets the next edge exactly (x == d: the
+    // memo must defer to the rescan) or just misses it (x > d: memo),
+    // a degrade overlapped by stalls of factor 1 and > 1, and a
+    // factor-1 degrade (state 0: clean, yet admission still sees it).
+    ServeSpec sp = oneOpSpec(1);
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    const double cold = sim.classServiceSec(0, false);
+    FaultServingSim fs(sim);
+    const std::vector<JobArrival> atCold{{cold, 0, 0}};
+
+    // Stall [cold / 2, cold): over when the job starts at cold.
+    fault::FaultTrace endsAtStart;
+    endsAtStart.events.push_back(stallAt(0.5 * cold, 0, 0.25, 0.5 * cold));
+    std::vector<JobResult> out;
+    auto split = expectMemoMatchesRescan(fs, atCold, endsAtStart,
+                                         RetryPolicy{}, &out);
+    EXPECT_EQ(out[0].finishSec, cold + cold);
+    EXPECT_FALSE(out[0].degraded);
+    EXPECT_EQ(split.first + split.second, 0u); // state 0, x = +inf
+
+    // The degraded duration d of the job under a channel-0 degrade.
+    fault::FaultTrace degrade;
+    degrade.events.push_back(
+        {0.0, fault::FaultKind::ChannelDegrade, 0, 0, 0.5, 0.0});
+    const MemoryConfig missMem{sp.fleet.chip.dataMemBytes, false};
+    const auto exp = runner.experiment(sp.classes[0].params,
+                                       sp.classes[0].dataflow, missMem);
+    const sim::CompiledSchedule cs =
+        RpuEngine(sp.fleet.chip).compile(exp->graph());
+    sim::ReplayRates rates;
+    RpuEngine(sp.fleet.chip).rates(cs, rates);
+    sim::ReplayScratch scratch;
+    const double d = cs.replayPiecewise(
+        rates, fault::buildChipEpochs(degrade, 0, cs.resourceCount()),
+        nullptr, scratch);
+    ASSERT_GT(d, cold);
+
+    const std::vector<JobArrival> atZero1 = atZero(1);
+    for (const double edge : {d, std::nextafter(d, kInf)}) {
+        fault::FaultTrace tr = degrade;
+        tr.events.push_back(stallAt(edge, 0, 0.25, cold));
+        tr.normalize();
+        ASSERT_EQ(fault::ChipFaultTimeline(tr, 1, cs.resourceCount())
+                      .at(0, 0.0)
+                      .x,
+                  edge);
+        split = expectMemoMatchesRescan(fs, atZero1, tr, RetryPolicy{},
+                                        &out);
+        EXPECT_EQ(out[0].finishSec, d);
+        EXPECT_TRUE(out[0].degraded);
+        // x == d falls back to the rescan; x > d takes the memo.
+        EXPECT_EQ(split.first, edge == d ? 0u : 1u);
+        EXPECT_EQ(split.second, edge == d ? 1u : 0u);
+    }
+
+    // Degrade plus overlapping stalls of factor 1 and 1.6 on chip 0.
+    fault::FaultTrace both = degrade;
+    both.events.push_back(stallAt(0.0, 0, 1.0, 4.0 * cold));
+    both.events.push_back(stallAt(0.5 * cold, 0, 1.6, 2.0 * cold));
+    both.normalize();
+    split = expectMemoMatchesRescan(fs, atZero(3), both, RetryPolicy{});
+    EXPECT_GT(split.first + split.second, 0u);
+
+    // A factor-1 degrade folds to state 0: clean pricing, unflagged.
+    fault::FaultTrace unit;
+    unit.events.push_back(
+        {0.0, fault::FaultKind::ChannelDegrade, 0, 0, 1.0, 0.0});
+    split = expectMemoMatchesRescan(fs, atZero(2), unit, RetryPolicy{},
+                                    &out);
+    EXPECT_EQ(split.first + split.second, 0u);
+    EXPECT_FALSE(out[0].degraded);
+    EXPECT_EQ(out[0].finishSec, cold);
 }
 
 TEST(ChipEpochs, ChannelAndStallLandOnChipLocalResources)
