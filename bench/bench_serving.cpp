@@ -27,10 +27,13 @@
  *     degrades scripted mid-run so three of four chips die and the
  *     gang class fails over through the partition patch path).
  *     Before any number is reported, two invariants are asserted:
- *     the zero-fault fault-serving run is byte-identical to the
- *     healthy serving loop (.zero_fault_serving_identical), and no
+ *     the zero-fault fault-serving run is byte-identical to
+ *     ServingSim::run (.zero_fault_serving_identical; both run the
+ *     one serving loop, so this guards the construction), and no
  *     arrival is silently lost (.lost_jobs == 0) — every job either
- *     completes or is explicitly rejected. The degraded-tail SLO
+ *     completes or is explicitly rejected. The zero-fault run has its
+ *     own simulator, so the metrics block's serve_fault.* ledger
+ *     counts exactly the degraded run. The degraded-tail SLO
  *     headline (.degraded_p99_over_healthy_p99) and the failover
  *     recovery time (.fault_recovery_sec) are CI-gated to stay
  *     present and finite, and the degraded run's Perfetto trace is
@@ -44,7 +47,7 @@
  *
  * Exits nonzero when a gate fails: a serving run that drifts across
  * thread counts, a batching path that lost its win, a zero-fault run
- * that diverged from the healthy loop, or a lost job is a regression,
+ * that diverged from ServingSim::run, or a lost job is a regression,
  * not a warning.
  */
 
@@ -302,11 +305,13 @@ main()
     }
 
     // Gate 1, before any fault number is reported: an empty trace
-    // must reproduce the healthy serving loop byte for byte.
-    FaultServingSim faultSim(healthySim);
+    // must reproduce ServingSim::run byte for byte. It runs on its
+    // own simulator, so faultSim's exported ledger covers exactly the
+    // degraded run reported below.
+    FaultServingSim zeroFaultSim(healthySim);
     std::vector<JobResult> zeroFaultOut;
     FaultServeStats zeroFaultSt;
-    if (!faultSim
+    if (!zeroFaultSim
              .run(farr, fault::FaultTrace{}, RetryPolicy{},
                   zeroFaultOut, zeroFaultSt)
              .ok()) {
@@ -326,6 +331,7 @@ main()
     // one pushes the gang class below its width and forces a
     // patch-path failover.
     const double M = healthySt.makespanSec;
+    FaultServingSim faultSim(healthySim);
     fault::FaultModel fm;
     fm.stallMtbfSec = 3.0 * M;
     fm.stallFactor = 0.3;
@@ -523,7 +529,7 @@ main()
     if (!zero_fault_serving_identical) {
         std::fprintf(stderr,
                      "FAIL: zero-fault fault-serving run diverged "
-                     "from the healthy serving loop\n");
+                     "from ServingSim::run\n");
         pass = false;
     }
     if (!fault_timed_identical) {

@@ -26,18 +26,6 @@ namespace
 constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
 const double kInf = std::numeric_limits<double>::infinity();
 
-/** The chip configuration replayed at uniqBw[i] (serving.cpp's
- * helper, duplicated so the assets compile the identical config). */
-RpuConfig
-chipAt(const FleetConfig &fleet, const std::vector<double> &uniqBw,
-       std::size_t i)
-{
-    RpuConfig cfg = fleet.chip;
-    if (!fleet.chipBandwidthGBps.empty())
-        cfg.bandwidthGBps = uniqBw[i];
-    return cfg;
-}
-
 /**
  * Earliest epoch boundary in the table (+inf when empty). An op whose
  * clean duration ends at or before every boundary replays
@@ -115,6 +103,9 @@ struct FaultServingSim::Assets
     sim::ReplayScratch scratch;
     /** Constant-state epoch table a memo miss replays. */
     sim::RateEpochs constEp;
+    /** Faulted ops priced from the memo / by an epoch-table rebuild,
+     * since construction (exportMetrics). */
+    std::size_t memoOps = 0, rescanOps = 0;
 
     /** Record one schedule's chip-block width; all must agree. */
     void noteChipRes(std::size_t r)
@@ -145,11 +136,11 @@ FaultServingSim::FaultServingSim(ServingSim &s)
                     assets->ops[k * 2 + static_cast<std::size_t>(variant)];
                 os.exp = sim.runnerRef.experiment(
                     jc.params, jc.dataflow, variant ? hitMem : missMem);
-                os.cs = RpuEngine(chipAt(sp.fleet, sim.uniqBw, 0))
+                os.cs = RpuEngine(sim.chipAt(0))
                             .compile(os.exp->graph());
                 os.rates.resize(sim.uniqBw.size());
                 for (std::size_t b = 0; b < sim.uniqBw.size(); ++b)
-                    RpuEngine(chipAt(sp.fleet, sim.uniqBw, b))
+                    RpuEngine(sim.chipAt(b))
                         .rates(os.cs, os.rates[b]);
                 assets->noteChipRes(os.cs.resourceCount());
             }
@@ -199,7 +190,6 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
                      FaultServeStats &stats, obs::ScenarioTrace *viz)
 {
     const ServeSpec &sp = sim.sp;
-    const std::size_t K = sp.fleet.chips;
     if (sim::Error err = checkStreams(arrivals, sp.classes.size()))
         return err;
     if (sim::Error err = checkRetryPolicy(policy))
@@ -208,20 +198,6 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
     if (sim::Error err = fault::checkTrace(tr, shape()))
         return err;
     tr.normalize();
-
-    if (viz) {
-        sim.buildViz(sim.runnerRef);
-        *viz = obs::ScenarioTrace{};
-        if (sim.viz_ && !sim.viz_->names.empty())
-            for (std::size_t c = 0; c < K; ++c)
-                for (const std::string &nm : sim.viz_->names)
-                    viz->resourceNames.push_back(
-                        "chip" + std::to_string(c) + "/" + nm);
-    }
-
-    const std::size_t n = arrivals.size();
-    out.assign(n, JobResult{});
-    stats = FaultServeStats{};
 
     // Reset gang bindings a previous run's failovers moved.
     for (std::size_t k = 0; k < sp.classes.size(); ++k) {
@@ -238,6 +214,47 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         g->liveHit = sim.models[k].hitRt[0];
         g->failedOver = false;
     }
+
+    serve(sim, assets.get(), arrivals, tr, policy, true, out, stats, viz);
+
+    nCompleted += stats.completedJobs;
+    nRejected += stats.rejectedJobs;
+    nTimedOut += stats.timedOutJobs;
+    nLost += stats.lostJobs;
+    nRetries += stats.retries;
+    nSalvaged += stats.salvagedJobs;
+    nChipFailures += stats.chipFailures;
+    nFailovers += stats.failovers;
+    nMigratedBytes += stats.migratedBytes;
+    lastStats = stats;
+    return {};
+}
+
+void
+FaultServingSim::serve(ServingSim &sim, Assets *assets,
+                       const std::vector<JobArrival> &arrivals,
+                       const fault::FaultTrace &tr, const RetryPolicy &policy,
+                       bool deadlines, std::vector<JobResult> &out,
+                       FaultServeStats &stats, obs::ScenarioTrace *viz)
+{
+    const ServeSpec &sp = sim.sp;
+    const std::size_t K = sp.fleet.chips;
+    panicIf(!assets && !tr.events.empty(),
+            "serving a fault trace needs replay assets");
+
+    if (viz) {
+        sim.buildViz(sim.runnerRef);
+        *viz = obs::ScenarioTrace{};
+        if (sim.viz_ && !sim.viz_->names.empty())
+            for (std::size_t c = 0; c < K; ++c)
+                for (const std::string &nm : sim.viz_->names)
+                    viz->resourceNames.push_back(
+                        "chip" + std::to_string(c) + "/" + nm);
+    }
+
+    const std::size_t n = arrivals.size();
+    out.assign(n, JobResult{});
+    stats = FaultServeStats{};
 
     // The scripted chip failures, in time order; rate events stay in
     // `tr` for the epoch builders (which ignore ChipFail).
@@ -268,6 +285,8 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             break; // unreachable: shape() has no links
         }
     }
+    const bool anyRate = std::any_of(chipRate.begin(), chipRate.end(),
+                                     [](char r) { return r != 0; });
     // Is chip c serving at degraded rate at time t? (Admission
     // deprioritizes such chips.)
     const auto degradedAt = [&](std::size_t c, double t) {
@@ -286,10 +305,7 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
     // (class, variant, bandwidth index, the chosen chips' states in
     // slot order). Traced runs always rescan; a trace without rate
     // events never prices a faulted op, so neither builds the index.
-    const bool memoPricing =
-        viz == nullptr &&
-        std::any_of(chipRate.begin(), chipRate.end(),
-                    [](char r) { return r != 0; });
+    const bool memoPricing = viz == nullptr && anyRate;
     std::optional<fault::ChipFaultTimeline> timeline;
     if (memoPricing)
         timeline.emplace(tr, K, assets->chipRes);
@@ -339,8 +355,10 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
 
     // Effective deadline per job (absolute seconds).
     const auto deadlineOf = [&](std::uint32_t j) {
-        return arrivals[j].atSec +
-               std::min(arrivals[j].deadlineSec, policy.deadlineSec);
+        return deadlines ? arrivals[j].atSec +
+                               std::min(arrivals[j].deadlineSec,
+                                        policy.deadlineSec)
+                         : kInf;
     };
 
     struct ChipState
@@ -352,12 +370,13 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
     };
     // One dispatched batch: who ran, where, and each job's simulated
     // finish — what a chip failure consults to split completed from
-    // salvageable work.
+    // salvageable work. A batch lives in the slot of its lowest chip,
+    // which is free by the time it dispatches again, so at most one
+    // record per chip is ever in flight.
     struct Rec
     {
         double end = 0.0;
         bool open = true;
-        std::uint32_t klass = 0;
         std::vector<std::size_t> chips;
         std::vector<std::uint32_t> jobs;
         std::vector<double> fin;
@@ -374,7 +393,7 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
     };
 
     std::vector<ChipState> chips(K);
-    std::vector<Rec> recs;
+    std::vector<Rec> recs(K);
     std::deque<Item> pending;
     std::vector<Item> retryQ;
     std::vector<std::uint8_t> jstate(n, 0); // 0 open, 1 done, 2 rejected
@@ -385,6 +404,7 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
     bool anySalvage = false;
     double firstFailAt = 0.0;
     std::vector<std::uint32_t> batchIds;
+    std::vector<char> taken, degradedNow(K, 0);
     char label[160];
 
     const auto reject = [&](std::uint32_t j, double at, bool timedOut) {
@@ -441,9 +461,17 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         }
     };
 
+    // Would this failure revoke in-flight work on a live chip?
+    const auto failRevokes = [&](const Fail &f) {
+        const std::uint32_t ri = chips[f.shard].rec;
+        return chips[f.shard].alive && ri != kNoRec && recs[ri].open &&
+               recs[ri].end > f.at;
+    };
+
     const auto processFail = [&](const Fail &f) {
         if (!chips[f.shard].alive)
             return;
+        const bool revokes = failRevokes(f);
         chips[f.shard].alive = false;
         --aliveCount;
         ++stats.chipFailures;
@@ -453,9 +481,8 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         }
         // Revoke the dead chip's in-flight batch: jobs simulated to
         // finish after the failure restart; earlier ones completed.
-        const std::uint32_t ri = chips[f.shard].rec;
-        if (ri != kNoRec && recs[ri].open && recs[ri].end > f.at) {
-            Rec &r = recs[ri];
+        if (revokes) {
+            Rec &r = recs[chips[f.shard].rec];
             r.open = false;
             for (std::size_t i = 0; i < r.jobs.size(); ++i)
                 if (r.fin[i] > f.at)
@@ -544,23 +571,14 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         }
     };
 
-    // Would this failure revoke any in-flight work? (The drain phase
-    // ignores trailing failures that cannot — events beyond the last
-    // departure leave the run untouched.)
-    const auto failRevokes = [&](const Fail &f) {
-        if (!chips[f.shard].alive)
-            return false;
-        const std::uint32_t ri = chips[f.shard].rec;
-        return ri != kNoRec && recs[ri].open && recs[ri].end > f.at;
-    };
-
     fault::FaultTrace remapped; // gang-slot view of the fleet trace
     sim::RateEpochs ep;
 
     while (!fleetDead) {
         if (next >= n && pending.empty() && retryQ.empty()) {
             // Only failures remain: process up to the next one that
-            // revokes in-flight work; ignore the rest.
+            // revokes in-flight work; ignore the rest (events beyond
+            // the last departure leave the run untouched).
             std::size_t scan = failIdx;
             while (scan < fails.size() && !failRevokes(fails[scan]))
                 ++scan;
@@ -586,23 +604,24 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         const Item head = pending.front();
         const std::uint32_t k = arrivals[head.job].klass;
         const ServingSim::ClassModel &m = sim.models[k];
-        Assets::Gang *g = assets->gang[k].get();
-        const std::size_t width = g ? g->activeSlots : 1;
+        Assets::Gang *g = assets ? assets->gang[k].get() : nullptr;
+        const std::size_t width = g ? g->activeSlots : m.shards;
 
         // The `width` least-loaded *alive* chips, degraded chips
         // deprioritized, ties to the lowest id.
         chosen.clear();
-        for (std::size_t c = 0; c < K; ++c)
-            if (chips[c].alive)
-                chosen.push_back(c);
+        for (std::size_t c = 0; c < K; ++c) {
+            if (!chips[c].alive)
+                continue;
+            chosen.push_back(c);
+            if (anyRate)
+                degradedNow[c] =
+                    degradedAt(c, std::max(head.ready, chips[c].freeAt));
+        }
         std::sort(chosen.begin(), chosen.end(),
                   [&](std::size_t a, std::size_t b) {
-                      const bool da = degradedAt(
-                          a, std::max(head.ready, chips[a].freeAt));
-                      const bool db = degradedAt(
-                          b, std::max(head.ready, chips[b].freeAt));
-                      if (da != db)
-                          return !da;
+                      if (degradedNow[a] != degradedNow[b])
+                          return !degradedNow[a];
                       if (chips[a].freeAt != chips[b].freeAt)
                           return chips[a].freeAt < chips[b].freeAt;
                       return a < b;
@@ -625,6 +644,8 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             continue;
         }
 
+        // Jobs arriving while the chips drain are admission
+        // candidates: they may join this batch.
         while (next < n && arrivals[next].atSec <= start) {
             pending.push_back(
                 {arrivals[next].atSec, static_cast<std::uint32_t>(next)});
@@ -637,21 +658,21 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         stats.done.maxQueueDepth =
             std::max(stats.done.maxQueueDepth, pending.size());
 
-        const std::size_t bwIdx =
-            m.shards > 1 ? 0
-                         : sim.chipBw[*std::min_element(chosen.begin(),
-                                                        chosen.end())];
+        const std::uint32_t firstChip = static_cast<std::uint32_t>(
+            *std::min_element(chosen.begin(), chosen.end()));
+        const std::size_t bwIdx = m.shards > 1 ? 0 : sim.chipBw[firstChip];
         bool warmCtx = true;
         for (std::size_t c : chosen)
             warmCtx = warmCtx &&
                       chips[c].lastClass == static_cast<std::int64_t>(k);
 
-        // p4db-style batch formation, exactly as the healthy loop;
-        // candidates past their deadline stay queued (they reject when
-        // they reach the head).
+        // p4db-style target batch: coalesce queued same-class jobs
+        // behind the head until the size target or the estimated
+        // batch duration is reached. Candidates past their deadline
+        // stay queued (they reject when they reach the head).
         batchIds.assign(1, head.job);
         double estSec = warmCtx ? m.warmSvc[bwIdx] : m.coldSvc[bwIdx];
-        std::vector<char> taken(pending.size(), 0);
+        taken.assign(pending.size(), 0);
         taken[0] = 1;
         for (std::size_t i = 1; i < pending.size(); ++i) {
             if (batchIds.size() >= sp.batch.targetBatch)
@@ -668,11 +689,11 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             estSec += m.warmSvc[bwIdx];
         }
         {
-            std::deque<Item> rest;
+            std::size_t kept = 0;
             for (std::size_t i = 0; i < pending.size(); ++i)
                 if (!taken[i])
-                    rest.push_back(pending[i]);
-            pending.swap(rest);
+                    pending[kept++] = pending[i];
+            pending.resize(kept);
         }
 
         // Any rate events on the chosen chips? A gang's rescan prices
@@ -703,18 +724,68 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             return remapped;
         };
         const bool gangFo = g && g->activeSlots < m.shards;
+        const double cleanMiss = g ? g->liveMiss : m.missRt[bwIdx];
+        const double cleanHit = g ? g->liveHit : m.hitRt[bwIdx];
 
-        // Execute: per-op pricing through the clean scalars, the
-        // constant-state memo, or a piecewise replay of the op's epoch
-        // table rebuilt from the trace when a fault edge cuts the op.
-        const std::uint32_t firstChip = static_cast<std::uint32_t>(
-            *std::min_element(chosen.begin(), chosen.end()));
-        const std::uint32_t recIdx =
-            static_cast<std::uint32_t>(recs.size());
-        recs.emplace_back();
-        Rec &rec = recs.back();
-        rec.klass = k;
+        // Price one op of variant v starting at t on the affected
+        // chosen chips through the constant-state memo, or a piecewise
+        // replay of the op's epoch table rebuilt from the trace when a
+        // fault edge cuts the op; returns whether the op degraded.
+        const auto priceFaulted = [&](std::size_t v, double t,
+                                      double &dur) {
+            const double clean = dur;
+            const Assets::OpSched *os =
+                g ? nullptr : &assets->ops[k * 2 + v];
+            const sim::CompiledSchedule &cs =
+                g ? (v ? g->psHit : g->psMiss).compiled.schedule : os->cs;
+            const sim::ReplayRates &rates =
+                g ? (v ? g->rHit : g->rMiss) : os->rates[bwIdx];
+            const Price how =
+                memoPricing
+                    ? timelinePrice(k, v, bwIdx, cs, rates, clean, t, dur)
+                    : Price::Rescan;
+            if (how == Price::Memo) {
+                ++assets->memoOps;
+                return true;
+            }
+            if (how == Price::Clean)
+                return false;
+            ++assets->rescanOps;
+            ep = g ? fault::buildEpochs(remappedTrace(),
+                                        g->psMiss.compiled, t)
+                   : fault::buildChipEpochs(tr, firstChip,
+                                            cs.resourceCount(), t);
+            if (!(firstBoundary(ep) < clean))
+                return false;
+            if (viz && !g) {
+                obs::TraceSegment seg;
+                seg.baseSec = t;
+                seg.resourceBase = static_cast<std::uint32_t>(
+                    firstChip * (sim.viz_ ? sim.viz_->perChip
+                                          : cs.resourceCount()));
+                seg.epochs = ep;
+                dur = obs::replayPiecewiseTraced(cs, rates, ep, nullptr,
+                                                 assets->scratch, seg.buf);
+                viz->segments.push_back(std::move(seg));
+            } else {
+                dur = cs.replayPiecewise(rates, ep, nullptr,
+                                         assets->scratch);
+            }
+            return true;
+        };
+
+        // Execute the batch: the leader runs cold unless the chips are
+        // already warm on this class; followers inherit a warmed key
+        // cache. Ops price at the clean scalars unless a chosen chip
+        // carries rate events.
+        Rec &rec = recs[firstChip];
+        for (std::size_t c : rec.chips)
+            if (chips[c].rec == firstChip)
+                chips[c].rec = kNoRec; // a former partner keeps no view
+        rec.open = true;
         rec.chips.assign(chosen.begin(), chosen.end());
+        rec.jobs.clear();
+        rec.fin.clear();
         double t = start;
         for (std::size_t b = 0; b < batchIds.size(); ++b) {
             const std::uint32_t j = batchIds[b];
@@ -725,47 +796,10 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             bool jobDegraded = false;
             for (std::size_t i = 0; i < mask.size(); ++i) {
                 const std::size_t v = mask[i] ? 1 : 0;
-                const Assets::OpSched *os =
-                    g ? nullptr : &assets->ops[k * 2 + v];
-                const sim::CompiledSchedule &cs =
-                    g ? (v ? g->psHit : g->psMiss).compiled.schedule
-                      : os->cs;
-                const sim::ReplayRates &rates =
-                    g ? (v ? g->rHit : g->rMiss) : os->rates[bwIdx];
-                const double clean =
-                    g ? (v ? g->liveHit : g->liveMiss)
-                      : (v ? m.hitRt[bwIdx] : m.missRt[bwIdx]);
-                double dur = clean;
-                Price how = Price::Clean;
-                if (affected)
-                    how = memoPricing ? timelinePrice(k, v, bwIdx, cs, rates,
-                                                      clean, t, dur)
-                                      : Price::Rescan;
-                bool opDegraded = how == Price::Memo;
-                if (how == Price::Rescan) {
-                    ep = g ? fault::buildEpochs(remappedTrace(),
-                                                g->psMiss.compiled, t)
-                           : fault::buildChipEpochs(
-                                 tr, static_cast<std::uint32_t>(chosen[0]),
-                                 cs.resourceCount(), t);
-                    opDegraded = firstBoundary(ep) < clean;
-                    if (opDegraded && viz && !g) {
-                        obs::TraceSegment seg;
-                        seg.baseSec = t;
-                        seg.resourceBase = static_cast<std::uint32_t>(
-                            firstChip * (sim.viz_ ? sim.viz_->perChip
-                                                  : cs.resourceCount()));
-                        seg.epochs = ep;
-                        dur = obs::replayPiecewiseTraced(
-                            cs, rates, ep, nullptr, assets->scratch,
-                            seg.buf);
-                        viz->segments.push_back(std::move(seg));
-                    } else if (opDegraded) {
-                        dur = cs.replayPiecewise(rates, ep, nullptr,
-                                                 assets->scratch);
-                    }
-                }
-                if (!opDegraded && viz && sim.viz_ && !g) {
+                double dur = v ? cleanHit : cleanMiss;
+                const bool opDegraded =
+                    affected && priceFaulted(v, t, dur);
+                if (!opDegraded && viz && sim.viz_ && m.shards == 1) {
                     obs::TraceSegment seg;
                     seg.baseSec = t;
                     seg.resourceBase = static_cast<std::uint32_t>(
@@ -775,10 +809,6 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
                 }
                 t += dur;
                 jobDegraded = jobDegraded || opDegraded;
-                if (how == Price::Rescan)
-                    ++nRescanOps;
-                else if (how == Price::Memo)
-                    ++nMemoOps;
             }
             JobResult &res = out[j];
             res.arriveSec = arrivals[j].atSec;
@@ -799,7 +829,7 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         for (std::size_t c : chosen) {
             chips[c].freeAt = t;
             chips[c].lastClass = static_cast<std::int64_t>(k);
-            chips[c].rec = recIdx;
+            chips[c].rec = firstChip;
         }
         if (viz) {
             std::snprintf(label, sizeof label,
@@ -814,11 +844,12 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             stats.done.batchedJobs += batchIds.size();
     }
 
-    // Aggregate. Completed jobs reproduce the healthy aggregation
-    // arithmetic (out order, same sums) so an empty trace yields the
-    // identical ServeStats; the fault ledger and the healthy/degraded
-    // latency split ride alongside.
-    std::vector<double> lat, healthyLat, degradedLat;
+    // Aggregate completed jobs: nearest-rank latency percentiles plus
+    // sustained QPS, the fault ledger and the healthy/degraded split.
+    // With no degraded job the healthy window is every completed job,
+    // so it reads its percentiles off the overall sort.
+    std::vector<double> lat, degradedLat;
+    lat.reserve(n);
     double sum = 0.0;
     double maxSalvagedSettle = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
@@ -845,15 +876,12 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         sum += r.latencySec();
         stats.done.makespanSec =
             std::max(stats.done.makespanSec, r.finishSec);
-        if (r.degraded) {
-            ++stats.degradedJobs;
+        if (r.degraded)
             degradedLat.push_back(r.latencySec());
-        } else {
-            ++stats.healthyJobs;
-            healthyLat.push_back(r.latencySec());
-        }
     }
     stats.done.jobs = stats.completedJobs;
+    stats.degradedJobs = degradedLat.size();
+    stats.healthyJobs = stats.completedJobs - stats.degradedJobs;
     if (!lat.empty()) {
         std::sort(lat.begin(), lat.end());
         stats.done.meanLatencySec =
@@ -866,17 +894,26 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             stats.done.qps = static_cast<double>(stats.done.jobs) /
                              stats.done.makespanSec;
     }
-    if (!healthyLat.empty()) {
-        std::sort(healthyLat.begin(), healthyLat.end());
-        stats.healthyP50Sec = stats::percentileSorted(healthyLat, 0.50);
-        stats.healthyP99Sec = stats::percentileSorted(healthyLat, 0.99);
-    }
     if (!degradedLat.empty()) {
         std::sort(degradedLat.begin(), degradedLat.end());
         stats.degradedP50Sec =
             stats::percentileSorted(degradedLat, 0.50);
         stats.degradedP99Sec =
             stats::percentileSorted(degradedLat, 0.99);
+    }
+    if (stats.healthyJobs > 0) {
+        std::vector<double> healthyLat;
+        if (stats.degradedJobs > 0) {
+            healthyLat.reserve(stats.healthyJobs);
+            for (std::size_t j = 0; j < n; ++j)
+                if (jstate[j] == 1 && !out[j].degraded)
+                    healthyLat.push_back(out[j].latencySec());
+            std::sort(healthyLat.begin(), healthyLat.end());
+        }
+        const std::vector<double> &h =
+            stats.degradedJobs > 0 ? healthyLat : lat;
+        stats.healthyP50Sec = stats::percentileSorted(h, 0.50);
+        stats.healthyP99Sec = stats::percentileSorted(h, 0.99);
     }
     if (stats.healthyP99Sec > 0.0 && stats.degradedP99Sec > 0.0)
         stats.degradedOverHealthyP99 =
@@ -891,18 +928,6 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
                 {"arrive " + sp.classes[r.klass].name + " t" +
                      std::to_string(r.tenant),
                  r.arriveSec, 0.0});
-
-    nCompleted += stats.completedJobs;
-    nRejected += stats.rejectedJobs;
-    nTimedOut += stats.timedOutJobs;
-    nLost += stats.lostJobs;
-    nRetries += stats.retries;
-    nSalvaged += stats.salvagedJobs;
-    nChipFailures += stats.chipFailures;
-    nFailovers += stats.failovers;
-    nMigratedBytes += stats.migratedBytes;
-    lastStats = stats;
-    return {};
 }
 
 void
@@ -918,8 +943,8 @@ FaultServingSim::exportMetrics(obs::MetricsRegistry &m,
     m.count(prefix + "chip_failures", nChipFailures);
     m.count(prefix + "failovers", nFailovers);
     m.count(prefix + "migrated_bytes", nMigratedBytes);
-    m.count(prefix + "memo_priced_ops", nMemoOps);
-    m.count(prefix + "rescan_priced_ops", nRescanOps);
+    m.count(prefix + "memo_priced_ops", assets->memoOps);
+    m.count(prefix + "rescan_priced_ops", assets->rescanOps);
     m.gauge(prefix + "healthy_p99_sec", lastStats.healthyP99Sec);
     m.gauge(prefix + "degraded_p99_sec", lastStats.degradedP99Sec);
     m.gauge(prefix + "degraded_over_healthy_p99",

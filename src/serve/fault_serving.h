@@ -1,13 +1,16 @@
 /**
  * @file
- * Fault-aware serving: the PR 9 admission/batching loop composed with
- * the fault layer's primitives, so the serving simulator answers
+ * Fault-aware serving: the admission/batching loop composed with the
+ * fault layer's primitives, so the serving simulator answers
  * degraded-tail questions — what p99 do tenants see while a chip is
  * degraded, what happens to in-flight jobs when a chip dies, how long
  * does the fleet take to recover.
  *
- * The composition reuses existing machinery rather than re-deriving
- * it:
+ * There is one serving event loop. ServingSim::run is that loop on an
+ * empty trace with deadlines off, so a zero-fault FaultServingSim run
+ * reproduces ServingSim::run to the bit by construction (the tests and
+ * the serving benchmark keep checking it as a guard). The loop reuses
+ * existing machinery rather than re-deriving it:
  *
  *  - A seeded fault::FaultTrace (scenario streams derived with
  *    fault::deriveSeed via serve::faultStreamSeed) scripts chip
@@ -15,10 +18,7 @@
  *    fleet.
  *  - In-flight ops on a degraded chip are priced through
  *    CompiledSchedule::replayPiecewise over per-chip epoch tables
- *    instead of the clean cached scalars; a chip with no active fault
- *    prices through the identical ClassModel scalars the healthy path
- *    uses, so a zero-fault run is bit-identical to ServingSim::run
- *    (asserted by tests and the serving benchmark before any timing).
+ *    instead of the clean ClassModel scalars every other op uses.
  *    Each run indexes the trace once as a fault::ChipFaultTimeline:
  *    an op whose chip state stays constant for its whole replay is
  *    priced from a per-(schedule, bandwidth, state) memo of one
@@ -86,7 +86,7 @@ struct RetryPolicy
 sim::Error checkRetryPolicy(const RetryPolicy &policy);
 
 /**
- * Aggregate statistics of one fault-aware serving run: the PR 9
+ * Aggregate statistics of one fault-aware serving run: the
  * ServeStats over the jobs that completed, plus the fault ledger
  * (retries, rejections, salvage and failover accounting) and the
  * healthy-window / degraded-window latency split. A job belongs to
@@ -99,7 +99,7 @@ sim::Error checkRetryPolicy(const RetryPolicy &policy);
  */
 struct FaultServeStats
 {
-    /** PR 9 aggregate over completed (served) jobs only. */
+    /** Aggregate over completed (served) jobs only. */
     ServeStats done;
     /** Jobs served to completion. */
     std::size_t completedJobs = 0;
@@ -139,10 +139,9 @@ struct FaultServeStats
 };
 
 /**
- * Fault-aware serving simulator. Borrows a priced ServingSim (which
- * must outlive it) for the clean per-op scalars — the guarantee that
- * a zero-fault run reproduces ServingSim::run to the bit — and
- * compiles per-class replay assets once at construction: single-chip
+ * Fault-aware serving simulator. Runs the serving loop of a priced
+ * ServingSim (which must outlive it) with fault replay assets it
+ * compiles once at construction: single-chip
  * classes get their (variant, bandwidth) compiled schedules for
  * piecewise degraded pricing, gang classes get patchable sharded
  * compiles so chip failures re-place them through the
@@ -204,7 +203,19 @@ class FaultServingSim
 
   private:
     struct Assets;
-    struct Runstate;
+    friend class ServingSim;
+
+    /**
+     * The serving event loop, over already-validated inputs and a
+     * normalized trace. `assets` null (ServingSim::run) requires an
+     * empty trace; `deadlines` false ignores every deadline.
+     */
+    static void serve(ServingSim &sim, Assets *assets,
+                      const std::vector<JobArrival> &arrivals,
+                      const fault::FaultTrace &tr,
+                      const RetryPolicy &policy, bool deadlines,
+                      std::vector<JobResult> &out, FaultServeStats &stats,
+                      obs::ScenarioTrace *viz);
 
     ServingSim &sim;
     std::unique_ptr<Assets> assets;
@@ -214,7 +225,6 @@ class FaultServingSim
     std::size_t nRetries = 0, nSalvaged = 0, nChipFailures = 0;
     std::size_t nFailovers = 0;
     std::uint64_t nMigratedBytes = 0;
-    std::size_t nMemoOps = 0, nRescanOps = 0;
     FaultServeStats lastStats;
 };
 

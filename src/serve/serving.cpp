@@ -1,17 +1,14 @@
 #include "serve/serving.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdio>
-#include <deque>
 #include <functional>
 #include <list>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "obs/traced_replay.h"
 #include "rpu/experiment.h"
+#include "serve/fault_serving.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
 
@@ -192,21 +189,14 @@ ServingSim::ServingSim(const ServeSpec &spec, ExperimentRunner &runner,
 
 ServingSim::~ServingSim() = default;
 
-namespace
-{
-
-/** The chip configuration replayed at uniqBw[i]. */
 RpuConfig
-chipAt(const FleetConfig &fleet, const std::vector<double> &uniqBw,
-       std::size_t i)
+ServingSim::chipAt(std::size_t bwIdx) const
 {
-    RpuConfig cfg = fleet.chip;
-    if (!fleet.chipBandwidthGBps.empty())
-        cfg.bandwidthGBps = uniqBw[i];
+    RpuConfig cfg = sp.fleet.chip;
+    if (!sp.fleet.chipBandwidthGBps.empty())
+        cfg.bandwidthGBps = uniqBw[bwIdx];
     return cfg;
 }
-
-} // namespace
 
 void
 ServingSim::buildModels(ExperimentRunner &runner, tune::EvalCache *cache)
@@ -281,7 +271,7 @@ ServingSim::buildModels(ExperimentRunner &runner, tune::EvalCache *cache)
                     std::vector<RpuConfig> cfgs;
                     cfgs.reserve(missing.size());
                     for (std::size_t i : missing)
-                        cfgs.push_back(chipAt(sp.fleet, uniqBw, i));
+                        cfgs.push_back(chipAt(i));
                     exp->simulateRuntimeMany(cfgs.data(), cfgs.size(),
                                              rt.data());
                 } else {
@@ -373,8 +363,7 @@ ServingSim::buildViz(ExperimentRunner &runner)
             const auto exp = runner.experiment(
                 jc.params, jc.dataflow, variant ? hitMem : missMem);
             const sim::CompiledSchedule cs =
-                RpuEngine(chipAt(sp.fleet, uniqBw, 0))
-                    .compile(exp->graph());
+                RpuEngine(chipAt(0)).compile(exp->graph());
             if (va->names.empty()) {
                 va->perChip = cs.resourceCount();
                 for (std::size_t r = 0; r < cs.resourceCount(); ++r)
@@ -389,8 +378,7 @@ ServingSim::buildViz(ExperimentRunner &runner)
                 va->bufs[k][static_cast<std::size_t>(variant)];
             slot.resize(uniqBw.size());
             for (std::size_t b = 0; b < uniqBw.size(); ++b) {
-                RpuEngine(chipAt(sp.fleet, uniqBw, b))
-                    .rates(cs, rates);
+                RpuEngine(chipAt(b)).rates(cs, rates);
                 obs::replayTraced(cs, rates, scratch, slot[b]);
             }
         }
@@ -403,187 +391,12 @@ ServingSim::run(const std::vector<JobArrival> &arrivals,
                 std::vector<JobResult> &out, ServeStats &stats,
                 obs::ScenarioTrace *viz)
 {
-    const sim::Error err = checkArrivals(arrivals, sp.classes.size());
-    if (err)
+    if (sim::Error err = checkArrivals(arrivals, sp.classes.size()))
         return err;
-    if (viz)
-        buildViz(runnerRef);
-
-    out.assign(arrivals.size(), JobResult{});
-    stats = ServeStats{};
-    if (viz) {
-        *viz = obs::ScenarioTrace{};
-        if (viz_ && !viz_->names.empty())
-            for (std::size_t c = 0; c < sp.fleet.chips; ++c)
-                for (const std::string &n : viz_->names)
-                    viz->resourceNames.push_back(
-                        "chip" + std::to_string(c) + "/" + n);
-    }
-
-    struct ChipState
-    {
-        double freeAt = 0.0;
-        std::int64_t lastClass = -1;
-    };
-    std::vector<ChipState> chips(sp.fleet.chips);
-    std::deque<std::uint32_t> pending;
-    std::size_t next = 0;
-    std::uint32_t batchSeq = 0;
-    std::vector<std::size_t> chosen;
-    std::vector<std::uint32_t> batchIds;
-
-    while (next < arrivals.size() || !pending.empty()) {
-        if (pending.empty())
-            pending.push_back(static_cast<std::uint32_t>(next++));
-        const std::uint32_t head = pending.front();
-        const std::uint32_t k = arrivals[head].klass;
-        const ClassModel &m = models[k];
-
-        // The m.shards least-loaded chips, ties to the lowest id.
-        chosen.assign(sp.fleet.chips, 0);
-        for (std::size_t c = 0; c < sp.fleet.chips; ++c)
-            chosen[c] = c;
-        std::sort(chosen.begin(), chosen.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (chips[a].freeAt != chips[b].freeAt)
-                          return chips[a].freeAt < chips[b].freeAt;
-                      return a < b;
-                  });
-        chosen.resize(m.shards);
-        double start = arrivals[head].atSec;
-        for (std::size_t c : chosen)
-            start = std::max(start, chips[c].freeAt);
-        // Jobs arriving while the gang drains are admission
-        // candidates: they may join this batch.
-        while (next < arrivals.size() &&
-               arrivals[next].atSec <= start)
-            pending.push_back(static_cast<std::uint32_t>(next++));
-        stats.maxQueueDepth =
-            std::max(stats.maxQueueDepth, pending.size());
-
-        const std::size_t bwIdx =
-            m.shards > 1 ? 0
-                         : chipBw[*std::min_element(chosen.begin(),
-                                                    chosen.end())];
-        bool warmCtx = true;
-        for (std::size_t c : chosen)
-            warmCtx = warmCtx &&
-                      chips[c].lastClass == static_cast<std::int64_t>(k);
-
-        // p4db-style target batch: coalesce queued same-class jobs
-        // behind the head until the size target or the estimated
-        // batch duration is reached.
-        batchIds.assign(1, head);
-        double estSec =
-            warmCtx ? m.warmSvc[bwIdx] : m.coldSvc[bwIdx];
-        std::vector<char> taken(pending.size(), 0);
-        taken[0] = 1;
-        for (std::size_t i = 1; i < pending.size(); ++i) {
-            if (batchIds.size() >= sp.batch.targetBatch)
-                break;
-            if (sp.batch.targetBatchSec > 0.0 &&
-                estSec >= sp.batch.targetBatchSec)
-                break;
-            if (arrivals[pending[i]].klass != k)
-                continue;
-            taken[i] = 1;
-            batchIds.push_back(pending[i]);
-            estSec += m.warmSvc[bwIdx];
-        }
-        {
-            std::deque<std::uint32_t> rest;
-            for (std::size_t i = 0; i < pending.size(); ++i)
-                if (!taken[i])
-                    rest.push_back(pending[i]);
-            pending.swap(rest);
-        }
-
-        // Execute the batch: the leader runs cold unless the gang is
-        // already warm on this class; followers inherit a warmed key
-        // cache.
-        const std::uint32_t firstChip = static_cast<std::uint32_t>(
-            *std::min_element(chosen.begin(), chosen.end()));
-        double t = start;
-        for (std::size_t b = 0; b < batchIds.size(); ++b) {
-            const std::uint32_t j = batchIds[b];
-            const bool warm = b > 0 || warmCtx;
-            const std::vector<std::uint8_t> &mask =
-                warm ? m.warmMask : m.coldMask;
-            const double jobStart = t;
-            for (std::size_t i = 0; i < mask.size(); ++i) {
-                const double dur =
-                    mask[i] ? m.hitRt[bwIdx] : m.missRt[bwIdx];
-                if (viz && viz_ && m.shards == 1) {
-                    obs::TraceSegment seg;
-                    seg.baseSec = t;
-                    seg.resourceBase = static_cast<std::uint32_t>(
-                        firstChip * viz_->perChip);
-                    seg.buf = viz_->bufs[k][mask[i] ? 1 : 0][bwIdx];
-                    viz->segments.push_back(std::move(seg));
-                }
-                t += dur;
-            }
-            JobResult &res = out[j];
-            res.arriveSec = arrivals[j].atSec;
-            res.startSec = jobStart;
-            res.finishSec = t;
-            res.klass = k;
-            res.tenant = arrivals[j].tenant;
-            res.chip = firstChip;
-            res.batch = batchSeq;
-            res.warmStart = warm;
-            stats.warmJobs += warm ? 1 : 0;
-            stats.keyCacheHitOps += warm ? m.warmHits : m.coldHits;
-            stats.totalOps += mask.size();
-        }
-        for (std::size_t c : chosen) {
-            chips[c].freeAt = t;
-            chips[c].lastClass = static_cast<std::int64_t>(k);
-        }
-        if (viz) {
-            char label[128];
-            std::snprintf(label, sizeof label,
-                          "batch %u: %zux %s @chip%u%s", batchSeq,
-                          batchIds.size(),
-                          sp.classes[k].name.c_str(), firstChip,
-                          m.shards > 1 ? " (gang)" : "");
-            viz->marks.push_back({label, start, t - start});
-        }
-        ++batchSeq;
-        ++stats.batches;
-        if (batchIds.size() > 1)
-            stats.batchedJobs += batchIds.size();
-    }
-
-    // Aggregate: nearest-rank latency percentiles plus sustained QPS.
-    stats.jobs = out.size();
-    if (!out.empty()) {
-        std::vector<double> lat;
-        lat.reserve(out.size());
-        double sum = 0.0;
-        for (const JobResult &r : out) {
-            lat.push_back(r.latencySec());
-            sum += r.latencySec();
-            stats.makespanSec =
-                std::max(stats.makespanSec, r.finishSec);
-        }
-        std::sort(lat.begin(), lat.end());
-        stats.meanLatencySec = sum / static_cast<double>(lat.size());
-        stats.p50LatencySec = stats::percentileSorted(lat, 0.50);
-        stats.p99LatencySec = stats::percentileSorted(lat, 0.99);
-        stats.p999LatencySec = stats::percentileSorted(lat, 0.999);
-        stats.maxLatencySec = lat.back();
-        if (stats.makespanSec > 0.0)
-            stats.qps = static_cast<double>(stats.jobs) /
-                        stats.makespanSec;
-    }
-
-    if (viz)
-        for (const JobResult &r : out)
-            viz->marks.push_back(
-                {"arrive " + sp.classes[r.klass].name + " t" +
-                     std::to_string(r.tenant),
-                 r.arriveSec, 0.0});
+    FaultServeStats fst;
+    FaultServingSim::serve(*this, nullptr, arrivals, fault::FaultTrace{},
+                           RetryPolicy{}, false, out, fst, viz);
+    stats = fst.done;
 
     nJobs += stats.jobs;
     nBatches += stats.batches;

@@ -14,7 +14,9 @@
  * (HksExperiment::simulateRuntimeMany for single-chip classes,
  * ShardedEngine::replayRuntimeMany for gang-scheduled ones), memoized
  * in a shared tune::EvalCache; the admission scheduler then runs a
- * purely arithmetic event loop over those per-op prices. Because
+ * purely arithmetic event loop over those per-op prices — the one
+ * serving loop, which fault-aware serving (serve/fault_serving.h)
+ * runs with a fault trace and ServingSim::run with none. Because
  * simulation is a pure function of (graph, config), the whole serving
  * run is bit-identical across repetitions and estimator thread counts
  * (tests/test_serve.cpp pins both), the same contract the sweep and
@@ -254,8 +256,10 @@ class ServingSim
     /**
      * Serve a normalized arrival stream (serve/arrivals.h). Fills
      * `out` with one JobResult per arrival (arrival order) and the
-     * aggregate ServeStats. Returns BadServeSpec without simulating
-     * when the stream fails checkArrivals. When `viz` is non-null,
+     * aggregate ServeStats; every job is served, whatever its
+     * deadlineSec (deadlines are a fault-serving policy). Returns
+     * BadServeSpec without simulating when the stream fails
+     * checkArrivals. When `viz` is non-null,
      * additionally assembles a fleet-wide ScenarioTrace: one segment
      * per (single-chip job, op) placed on that chip's resource tracks
      * via TraceSegment::resourceBase, batch spans and gang-job spans
@@ -290,8 +294,8 @@ class ServingSim
     /**
      * Per-class duration model: key-cache hit masks plus per-op
      * hit/miss runtimes at every distinct chip bandwidth, and their
-     * ordered sums. Defined here (not in serving.cpp) so the
-     * fault-aware serving loop prices through the identical model.
+     * ordered sums. Defined here (not in serving.cpp) because the
+     * serving loop (FaultServingSim's) prices through it.
      */
     struct ClassModel
     {
@@ -311,9 +315,8 @@ class ServingSim
     };
     /** Lazily built Chrome-trace assets (see buildViz): the clean
      * per-op replay of every (single-chip class, variant, bandwidth),
-     * copied into fleet-placed segments at render time. Defined here
-     * so the fault-aware serving loop reuses the identical buffers for
-     * its healthy ops. */
+     * copied into fleet-placed segments at render time by the serving
+     * loop. */
     struct VizAssets
     {
         /** Resources per chip block (channels + pipes). */
@@ -328,6 +331,8 @@ class ServingSim
 
     void buildModels(ExperimentRunner &runner, tune::EvalCache *cache);
     void buildViz(ExperimentRunner &runner);
+    /** The chip configuration replayed at uniqBw[bwIdx]. */
+    RpuConfig chipAt(std::size_t bwIdx) const;
 
     ServeSpec sp;
     /** Distinct per-chip bandwidths, ascending. */

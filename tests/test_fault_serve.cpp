@@ -11,12 +11,14 @@
  * cleanly ignored, stream/policy/trace validation through the
  * non-panicking entry points, tenant/fault seed-stream disjointness,
  * the timeline/memo pricing against the per-op rescan reference
- * (seeded traces, hand-placed edges, traced runs), chip-local epoch
- * tables, and the Chrome-trace cut clamp.
+ * (seeded traces, hand-placed edges, traced runs), a former gang
+ * partner's failure sparing the batch that reused its record,
+ * chip-local epoch tables, and the Chrome-trace cut clamp.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -344,6 +346,7 @@ TEST(FaultServe, ZeroFaultRunIsBitIdenticalToHealthyServing)
     EXPECT_EQ(fst.failovers, 0u);
     EXPECT_EQ(fst.degradedJobs, 0u);
     EXPECT_EQ(fst.healthyJobs, arr.size());
+    EXPECT_EQ(fst.healthyP50Sec, hst.p50LatencySec);
     EXPECT_EQ(fst.healthyP99Sec, hst.p99LatencySec);
     EXPECT_EQ(fst.degradedOverHealthyP99, 0.0);
     for (const JobResult &r : faulty) {
@@ -745,6 +748,67 @@ TEST(FaultServe, GangFailoverMatchesPatchPathReference)
             .ok());
     EXPECT_TRUE(sameFaultResults(healthy, faulty));
     EXPECT_TRUE(sameServeStats(hst, fst.done));
+}
+
+TEST(FaultServe, FormerGangPartnerFailureSparesReusedBatchRecord)
+{
+    // 2 chips: a gang job runs on both over [0, G], then a single-chip
+    // job on chip 0 over [G, G + S]. Chip 1, the gang's former
+    // partner, dies while that job is in flight: it ran nothing then,
+    // so nothing is salvaged and the job finishes as without the
+    // failure. A third job, arriving later, makes the loop process the
+    // failure (and the gang class's failover to one chip).
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp;
+    sp.classes.push_back({"gang2", HeWorkload::reduction(2),
+                          benchmarkByName("BTS1"), Dataflow::MP, 2});
+    sp.classes.push_back(
+        {"rot1", HeWorkload::reduction(2), ark, Dataflow::OC, 1});
+    sp.fleet.chip.bandwidthGBps = 4.0;
+    sp.fleet.chips = 2;
+    sp.fleet.keyCacheBytes = ark.evkBytes() * 8;
+    sp.batch.targetBatch = 1;
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    const double G = sim.classServiceSec(0, false);
+    const double S = sim.classServiceSec(1, false);
+    const double Sw = sim.classServiceSec(1, true);
+    const double T3 = 4.0 * (G + S);
+
+    std::vector<JobArrival> arr{{0.0, 0, 0}, {0.0, 1, 1}, {T3, 1, 2}};
+    normalizeArrivals(arr);
+    fault::FaultTrace tr;
+    tr.events.push_back(
+        {G + 0.5 * S, fault::FaultKind::ChipFail, 1, 0, 1.0, 0.0});
+
+    FaultServingSim fs(sim);
+    std::vector<JobResult> out, clean;
+    FaultServeStats st, cst;
+    ASSERT_TRUE(fs.run(arr, tr, RetryPolicy{}, out, st).ok());
+    ASSERT_TRUE(
+        fs.run(arr, fault::FaultTrace{}, RetryPolicy{}, clean, cst).ok());
+    ASSERT_EQ(out.size(), 3u);
+
+    EXPECT_EQ(st.chipFailures, 1u);
+    EXPECT_EQ(st.salvagedJobs, 0u);
+    EXPECT_EQ(st.retries, 0u);
+    EXPECT_EQ(st.completedJobs, 3u);
+    EXPECT_EQ(st.failovers, 1u);
+
+    EXPECT_EQ(out[0].finishSec, G);
+    EXPECT_EQ(out[1].chip, 0u);
+    EXPECT_EQ(out[1].startSec, G);
+    EXPECT_EQ(out[1].finishSec, G + S);
+    EXPECT_EQ(out[1].retries, 0u);
+    EXPECT_FALSE(out[1].degraded);
+    EXPECT_EQ(out[1].finishSec, clean[1].finishSec);
+
+    // Job 2 runs warm on the survivor, after the failover pause.
+    const double start2 = std::max(T3, (G + S) + st.migrationSec);
+    EXPECT_EQ(out[2].chip, 0u);
+    EXPECT_EQ(out[2].startSec, start2);
+    EXPECT_EQ(out[2].finishSec, start2 + Sw);
+    EXPECT_TRUE(out[2].warmStart);
 }
 
 TEST(FaultServe, FleetDeathRejectsEverythingNothingLost)

@@ -8,21 +8,25 @@
  * replica), cross-layer agreement with simulateWorkload for a lone
  * cold job, gang-scheduled classes against a sharded-replay
  * reference, traced per-job segments, the batching throughput win at
- * saturation, and EvalCache sharing across simulators.
+ * saturation, EvalCache sharing across simulators, and run() staying
+ * blind to per-job deadlines.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <string>
 #include <vector>
 
+#include "fault/fault_trace.h"
 #include "obs/chrome_trace.h"
 #include "rpu/experiment.h"
 #include "rpu/workload.h"
 #include "serve/arrivals.h"
+#include "serve/fault_serving.h"
 #include "serve/serving.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
@@ -436,6 +440,53 @@ TEST(Serve, EvalCacheSharedAcrossSimulators)
                       second.classServiceSec(k, warm))
                 << "class " << k << " warm " << warm;
     EXPECT_GE(cache.hits(), 4u);
+}
+
+TEST(Serve, RunIgnoresPerJobDeadlines)
+{
+    // Deadlines are a fault-serving policy: ServingSim::run serves a
+    // stream whose per-job deadlines expire long before dispatch in
+    // full, bit for bit as the same stream with no deadlines.
+    ServeSpec sp = twoClassSpec(2, 4);
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    const std::vector<JobArrival> open = saturatedStream(24);
+    std::vector<JobArrival> expired = open;
+    for (JobArrival &a : expired)
+        a.deadlineSec = 1e-9;
+    for (const JobArrival &a : open)
+        ASSERT_EQ(a.deadlineSec, std::numeric_limits<double>::infinity());
+
+    std::vector<JobResult> ref, out;
+    ServeStats rst, st;
+    ASSERT_TRUE(sim.run(open, ref, rst).ok());
+    ASSERT_TRUE(sim.run(expired, out, st).ok());
+    ASSERT_EQ(out.size(), expired.size());
+    EXPECT_EQ(st.jobs, expired.size());
+    EXPECT_TRUE(sameResults(ref, out));
+    std::size_t late = 0;
+    for (const JobResult &r : out) {
+        EXPECT_FALSE(r.rejected);
+        EXPECT_FALSE(r.degraded);
+        EXPECT_EQ(r.retries, 0u);
+        late += r.startSec > r.arriveSec + 1e-9 ? 1 : 0;
+    }
+    EXPECT_GT(late, out.size() / 2);
+    EXPECT_EQ(st.batches, rst.batches);
+    EXPECT_EQ(st.warmJobs, rst.warmJobs);
+    EXPECT_EQ(st.maxQueueDepth, rst.maxQueueDepth);
+    EXPECT_EQ(st.makespanSec, rst.makespanSec);
+    EXPECT_EQ(st.meanLatencySec, rst.meanLatencySec);
+    EXPECT_EQ(st.p99LatencySec, rst.p99LatencySec);
+
+    // The same deadlines do bind under fault-aware serving.
+    FaultServingSim fs(sim);
+    std::vector<JobResult> fout;
+    FaultServeStats fst;
+    ASSERT_TRUE(fs.run(expired, fault::FaultTrace{}, RetryPolicy{}, fout,
+                       fst)
+                    .ok());
+    EXPECT_GT(fst.timedOutJobs, 0u);
 }
 
 } // namespace
