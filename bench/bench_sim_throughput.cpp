@@ -32,6 +32,13 @@
  * bit-identical makespan and scratch state at every point. CI gates
  * trace_overhead (plain/traced throughput ratio) <= 2x and
  * traced_identical == true.
+ *
+ * Each row also times graph construction: buildHksGraph of the row's
+ * benchmark, repeated on the same inputs, reports the median, minimum
+ * and interquartile range of host microseconds per emitted task
+ * (graph_build_us_per_task; CI checks it is present and finite, with
+ * no threshold). Every timed build must reproduce the experiment's
+ * graph size and traffic.
  */
 
 #include <algorithm>
@@ -43,6 +50,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "obs/traced_replay.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
@@ -53,6 +61,9 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/** Timed buildHksGraph calls per row (median/min/IQR are taken). */
+constexpr int kBuildTimedRuns = 31;
 
 double
 secondsSince(Clock::time_point t0)
@@ -137,6 +148,10 @@ struct Row
     /** Plain replay and traced replay over precomputed rate points. */
     PathTiming tracedPlain, traced;
     double compileMs = 0.0;
+    /** buildHksGraph host time per task: median, minimum, IQR. */
+    double buildUsPerTask = 0.0;
+    double buildUsPerTaskMin = 0.0;
+    double buildUsPerTaskIqr = 0.0;
     double channelRepatchMs = 0.0;
     double shardCompileMs = 0.0;
     double shardMoveRepatchMs = 0.0;
@@ -231,6 +246,30 @@ main()
                              name, bws[i]);
                 row.identical = false;
             }
+        }
+
+        // Graph construction cost, per emitted task.
+        {
+            std::vector<double> us;
+            for (int i = 0; i < kBuildTimedRuns; ++i) {
+                const Clock::time_point t0 = Clock::now();
+                const TaskGraph g = buildHksGraph(b, Dataflow::OC, mem);
+                const double sec = secondsSince(t0);
+                if (g.size() != row.tasks ||
+                    g.trafficBytes() != exp.graph().trafficBytes()) {
+                    std::fprintf(stderr,
+                                 "FAIL: %s: a timed build differs from "
+                                 "the experiment's graph\n",
+                                 name);
+                    row.identical = false;
+                }
+                us.push_back(sec * 1e6 / static_cast<double>(g.size()));
+            }
+            std::sort(us.begin(), us.end());
+            row.buildUsPerTask = stats::percentileSorted(us, 0.5);
+            row.buildUsPerTaskMin = us.front();
+            row.buildUsPerTaskIqr = stats::percentileSorted(us, 0.75) -
+                                    stats::percentileSorted(us, 0.25);
         }
 
         // One-off compile cost the replay paths amortize (also the
@@ -444,6 +483,11 @@ main()
     benchutil::rule();
     std::printf("compile  = RpuEngine::compile (one-off cost the "
                 "replay paths amortize)\n");
+    for (const Row &r : rows)
+        std::printf("build    = %-5s buildHksGraph %.3f us/task (median "
+                    "of %d; min %.3f, IQR %.3f)\n",
+                    r.name.c_str(), r.buildUsPerTask, kBuildTimedRuns,
+                    r.buildUsPerTaskMin, r.buildUsPerTaskIqr);
     std::printf("rebuild  = RpuEngine::runRebuild per point (EventQueue "
                 "+ CodeGen re-lowered each simulate)\n");
     std::printf("compiled = HksExperiment::simulate (compile-once "
@@ -528,6 +572,9 @@ main()
             w.field("benchmark", r.name);
             w.field("tasks", r.tasks);
             w.field("compile_ms", r.compileMs);
+            w.field("graph_build_us_per_task", r.buildUsPerTask);
+            w.field("graph_build_us_per_task_min", r.buildUsPerTaskMin);
+            w.field("graph_build_us_per_task_iqr", r.buildUsPerTaskIqr);
             w.field("rebuild_sims_per_sec", r.rebuild.simsPerSec);
             w.field("compiled_sims_per_sec", r.compiled.simsPerSec);
             w.field("replay_sims_per_sec", r.replayOnly.simsPerSec);

@@ -82,6 +82,31 @@ GraphBuilder::evict(ObjId id)
         o.hasDramCopy = true;
         o.dirty = false;
     }
+    release(id);
+}
+
+void
+GraphBuilder::admit(ObjId id)
+{
+    ObjState &o = objs[id];
+    makeRoom(o.bytes);
+    used += o.bytes;
+    peak = std::max(peak, used);
+    o.resident = true;
+    o.slot = static_cast<std::uint32_t>(candidates.size());
+    candidates.push_back(id);
+}
+
+void
+GraphBuilder::release(ObjId id)
+{
+    ObjState &o = objs[id];
+    panicIf(o.slot == kNoSlot, "releasing an unlisted object");
+    ObjId moved = candidates.back();
+    candidates[o.slot] = moved;
+    objs[moved].slot = o.slot;
+    candidates.pop_back();
+    o.slot = kNoSlot;
     o.resident = false;
     used -= o.bytes;
 }
@@ -90,15 +115,14 @@ void
 GraphBuilder::makeRoom(std::uint64_t need)
 {
     while (used + need > effectiveCapacity) {
-        // Pick the least-recently-used evictable object.
+        // Pick the least-recently-used unpinned candidate.
         std::int64_t victim = -1;
         std::uint64_t best = ~0ull;
-        for (std::size_t i = 0; i < objs.size(); ++i) {
-            const ObjState &o = objs[i];
-            if (o.resident && !o.pinned && !o.transient && !o.isEvk &&
-                o.lastUse < best) {
+        for (ObjId id : candidates) {
+            const ObjState &o = objs[id];
+            if (!o.pinned && o.lastUse < best) {
                 best = o.lastUse;
-                victim = static_cast<std::int64_t>(i);
+                victim = id;
             }
         }
         fatalIf(victim < 0,
@@ -122,20 +146,14 @@ GraphBuilder::ensureResident(ObjId id, bool for_write)
     if (!o.hasDramCopy) {
         // First production of an on-chip object.
         panicIf(!for_write, "reading an object that was never produced");
-        if (!o.isEvk) {
-            makeRoom(o.bytes);
-            used += o.bytes;
-            peak = std::max(peak, used);
-        }
+        if (!o.isEvk)
+            admit(id);
         o.resident = true;
         return o.provider;
     }
     // Load from DRAM.
-    if (!o.isEvk) {
-        makeRoom(o.bytes);
-        used += o.bytes;
-        peak = std::max(peak, used);
-    }
+    if (!o.isEvk)
+        admit(id);
     Task ld;
     ld.kind = TaskKind::MemLoad;
     ld.stage = StageId::DataMove;
@@ -156,15 +174,16 @@ GraphBuilder::emitCompute(StageId stage, OpCounts ops,
                           const std::vector<ObjId> &outputs)
 {
     // Pin everything involved so residency survives sibling loads.
-    std::vector<ObjId> temp_pinned;
+    tempPinned.clear();
     auto pin_temp = [&](ObjId id) {
         if (!objs[id].pinned && !objs[id].transient && !objs[id].isEvk) {
             objs[id].pinned = true;
-            temp_pinned.push_back(id);
+            tempPinned.push_back(id);
         }
     };
 
     std::vector<std::uint32_t> deps;
+    deps.reserve(operands.size() + outputs.size());
     auto add_dep = [&](std::int64_t d) {
         if (d >= 0)
             deps.push_back(static_cast<std::uint32_t>(d));
@@ -181,7 +200,7 @@ GraphBuilder::emitCompute(StageId stage, OpCounts ops,
         bool in_place =
             std::find(operands.begin(), operands.end(), id) !=
             operands.end();
-        add_dep(ensureResident(id, !in_place ? true : false));
+        add_dep(ensureResident(id, !in_place));
     }
 
     std::sort(deps.begin(), deps.end());
@@ -200,7 +219,7 @@ GraphBuilder::emitCompute(StageId stage, OpCounts ops,
         objs[o].dirty = true;
         objs[o].lastUse = ++useClock;
     }
-    for (ObjId o : temp_pinned)
+    for (ObjId o : tempPinned)
         objs[o].pinned = false;
     return id;
 }
@@ -245,10 +264,8 @@ GraphBuilder::discard(ObjId id)
         return;
     o.dead = true;
     o.pinned = false;
-    if (o.resident && !o.transient && !o.isEvk) {
-        o.resident = false;
-        used -= o.bytes;
-    }
+    if (o.resident && !o.transient && !o.isEvk)
+        release(id);
 }
 
 TaskGraph

@@ -14,6 +14,14 @@
  * of instructions, reuse of loaded and computed data, intermediate data
  * generation, and off-chip memory interaction", §IV).
  *
+ * Victim choice costs O(resident towers), not O(objects created): the
+ * builder keeps a compact list of eviction candidates — the resident
+ * objects that are neither transient nor evk — updated only where
+ * residency changes (added on first production and on load, removed
+ * on eviction and discard). makeRoom scans that list, skips pinned
+ * entries and takes the smallest lastUse. Every lastUse comes from one
+ * increasing clock, so the victim is unique whatever the list order.
+ *
  * Two modeling details:
  *  - evk data never occupies data-memory capacity: the RPU has a
  *    dedicated key memory; when streaming, evk loads still produce
@@ -125,7 +133,10 @@ class GraphBuilder
         std::uint64_t lastUse = 0;
         std::int64_t provider = -1;  // task that produced/loaded it
         std::int64_t lastStore = -1; // most recent writeback task
+        std::uint32_t slot = kNoSlot; // index in `candidates`
     };
+
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
 
     /** Make obj resident; returns provider task id (or -1). */
     std::int64_t ensureResident(ObjId obj, bool for_write);
@@ -136,6 +147,12 @@ class GraphBuilder
     /** Spill one object (writeback if dirty and live). */
     void evict(ObjId obj);
 
+    /** Account a newly resident object's bytes and list it. */
+    void admit(ObjId obj);
+
+    /** Drop an object from the candidate list and its bytes. */
+    void release(ObjId obj);
+
     HksParams par;
     MemoryConfig mem;
     std::uint64_t effectiveCapacity;
@@ -143,6 +160,10 @@ class GraphBuilder
     std::uint64_t peak = 0;
     std::uint64_t useClock = 0;
     std::vector<ObjState> objs;
+    /** Resident, non-transient, non-evk objects (eviction candidates). */
+    std::vector<ObjId> candidates;
+    /** emitCompute's temporarily pinned objects (reused buffer). */
+    std::vector<ObjId> tempPinned;
     TaskGraph graph;
 };
 

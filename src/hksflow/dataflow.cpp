@@ -384,6 +384,21 @@ buildOc(const HksParams &par, const MemoryConfig &mem)
         }
     }
 
+    // INTT outputs of each digit, listed once when the digit is INTT'd
+    // rather than rebuilt for every fused column.
+    std::vector<std::vector<ObjId>> intts(par.dnum);
+    auto intt_digit = [&](std::size_t j) {
+        h.inttDigit(j, true);
+        h.scaleDigit(j);
+        intts[j] = h.digitIntts(j);
+    };
+    auto release_digit = [&](std::size_t j) {
+        for (ObjId o : intts[j]) {
+            h.b.unpin(o);
+            h.b.discard(o);
+        }
+    };
+
     auto contribute = [&](std::size_t j, std::size_t t) {
         if (h.inDigit(j, t)) {
             h.applyKey(j, t, h.in[t]);
@@ -394,7 +409,7 @@ buildOc(const HksParams &par, const MemoryConfig &mem)
             ObjId col = h.b.newTransient();
             h.b.emitCompute(StageId::ModUpBconv,
                             h.om.bconvColumn(par.digitTowers(j)),
-                            h.digitIntts(j), {col});
+                            intts[j], {col});
             h.b.emitCompute(StageId::ModUpNtt, h.om.nttTower(), {col},
                             {col});
             h.applyKey(j, t, col);
@@ -403,30 +418,20 @@ buildOc(const HksParams &par, const MemoryConfig &mem)
     };
 
     // Pass A: resident digits, one output tower at a time.
-    for (std::size_t j : resident) {
-        h.inttDigit(j, true);
-        h.scaleDigit(j);
-    }
+    for (std::size_t j : resident)
+        intt_digit(j);
     for (std::size_t t = 0; t < par.extTowers(); ++t)
         for (std::size_t j : resident)
             contribute(j, t);
-    for (std::size_t j : resident) {
-        for (ObjId o : h.digitIntts(j)) {
-            h.b.unpin(o);
-            h.b.discard(o);
-        }
-    }
+    for (std::size_t j : resident)
+        release_digit(j);
 
     // Deferred passes: one per remaining digit.
     for (std::size_t j : deferred) {
-        h.inttDigit(j, true);
-        h.scaleDigit(j);
+        intt_digit(j);
         for (std::size_t t = 0; t < par.extTowers(); ++t)
             contribute(j, t);
-        for (ObjId o : h.digitIntts(j)) {
-            h.b.unpin(o);
-            h.b.discard(o);
-        }
+        release_digit(j);
     }
 
     h.modDown(true);

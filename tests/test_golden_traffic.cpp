@@ -92,3 +92,63 @@ TEST(GoldenTraffic, OcTrafficAlwaysLowest)
         EXPECT_LE(dc, mp) << b.name;
     }
 }
+
+namespace
+{
+
+/** 64-bit FNV-1a, fed one integer field at a time (little-endian). */
+struct Fnv1a
+{
+    std::uint64_t h = 14695981039346656037ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+} // namespace
+
+TEST(GoldenTraffic, GraphStructurePinnedAcrossMemoryConfigs)
+{
+    // Traffic totals alone would not notice a reordered spill sequence
+    // that moves the same bytes. This digest covers every field of
+    // every task (dependencies included) of 240 graphs: the Table III
+    // benchmarks x MP/DC/OC x evk on-chip/streamed x evk compressed or
+    // not x four data-memory capacities. A deliberate schedule change
+    // re-derives the constant from the printed value.
+    Fnv1a fnv;
+    std::size_t graphs = 0;
+    for (const HksParams &par : paperBenchmarks()) {
+        for (Dataflow d : allDataflows()) {
+            for (bool on_chip : {true, false}) {
+                for (bool compressed : {false, true}) {
+                    for (std::uint64_t mib : {32, 48, 64, 128}) {
+                        MemoryConfig mem{mib << 20, on_chip, compressed};
+                        TaskGraph g = buildHksGraph(par, d, mem);
+                        fnv.add(g.size());
+                        for (const Task &t : g.tasks()) {
+                            fnv.add(t.id);
+                            fnv.add(static_cast<std::uint64_t>(t.kind));
+                            fnv.add(static_cast<std::uint64_t>(t.stage));
+                            fnv.add(t.bytes);
+                            fnv.add(t.modOps);
+                            fnv.add(t.shuffleOps);
+                            fnv.add(t.isEvk);
+                            fnv.add(t.deps.size());
+                            for (std::uint32_t dep : t.deps)
+                                fnv.add(dep);
+                        }
+                        ++graphs;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(graphs, 240u);
+    EXPECT_EQ(fnv.h, 0x5eeafabdfb055986ull) << std::hex << "0x" << fnv.h;
+}

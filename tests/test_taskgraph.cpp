@@ -3,6 +3,8 @@
  * Tests for the TaskGraph container and the capacity-aware GraphBuilder.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "hksflow/builder.h"
@@ -31,6 +33,17 @@ OpCounts
 someOps()
 {
     return {1000, 0};
+}
+
+/** Producer task of each spilled object, in writeback order. */
+std::vector<std::uint32_t>
+storedProviders(const TaskGraph &g)
+{
+    std::vector<std::uint32_t> out;
+    for (const Task &t : g.tasks())
+        if (t.kind == TaskKind::MemStore && !t.deps.empty())
+            out.push_back(t.deps.front());
+    return out;
 }
 
 } // namespace
@@ -241,4 +254,118 @@ TEST(GraphBuilder, OverPinnedCapacityIsFatal)
         }
     };
     EXPECT_DEATH(overfill(), "");
+}
+
+// Eviction order. Capacity memOf(2) holds 6 towers (2 + 4 staging);
+// `in` is an operand of every producer, so it stays the most recently
+// used tower and the victims are the produced objects. A writeback's
+// dependency names the task that produced the spilled object, which
+// identifies the victim.
+
+TEST(GraphBuilderEviction, UnpinnedOldestIsNextVictim)
+{
+    HksParams p = tinyParams();
+    GraphBuilder b(p, memOf(2));
+    ObjId in = b.newDramObject(p.towerBytes());
+    ObjId a = b.newObject(p.towerBytes());
+    std::uint32_t made_a = b.emitCompute(StageId::ModUpIntt, someOps(),
+                                         {in}, {a});
+    b.pin(a);
+    std::vector<std::uint32_t> made;
+    for (int i = 0; i < 5; ++i) {
+        // The fifth spills: `a` is oldest but pinned, so b[0] goes.
+        ObjId o = b.newObject(p.towerBytes());
+        made.push_back(
+            b.emitCompute(StageId::ModUpBconv, someOps(), {in}, {o}));
+    }
+    b.unpin(a);
+    ObjId o = b.newObject(p.towerBytes());
+    b.emitCompute(StageId::ModUpBconv, someOps(), {in}, {o});
+    TaskGraph g = b.take();
+    EXPECT_EQ(storedProviders(g),
+              (std::vector<std::uint32_t>{made[0], made_a}));
+}
+
+TEST(GraphBuilderEviction, DiscardedObjectsAreNeverSpilled)
+{
+    HksParams p = tinyParams();
+    GraphBuilder b(p, memOf(2));
+    ObjId in = b.newDramObject(p.towerBytes());
+    std::vector<std::uint32_t> live, dead;
+    for (int i = 0; i < 16; ++i) {
+        ObjId o = b.newObject(p.towerBytes());
+        std::uint32_t t =
+            b.emitCompute(StageId::ModUpBconv, someOps(), {in}, {o});
+        if (i % 2 == 0) {
+            std::uint64_t before = b.residentBytes();
+            b.discard(o); // oldest-to-be, freed without a writeback
+            EXPECT_EQ(b.residentBytes(), before - p.towerBytes());
+            dead.push_back(t);
+        } else {
+            live.push_back(t);
+        }
+    }
+    TaskGraph g = b.take();
+    // 1 + 8 live towers against 6 slots: the three oldest live spill.
+    EXPECT_EQ(storedProviders(g),
+              (std::vector<std::uint32_t>{live[0], live[1], live[2]}));
+    for (std::uint32_t s : storedProviders(g))
+        EXPECT_EQ(std::count(dead.begin(), dead.end(), s), 0);
+}
+
+TEST(GraphBuilderEviction, ReloadedObjectRejoinsAtItsNewLastUse)
+{
+    HksParams p = tinyParams();
+    GraphBuilder b(p, memOf(2));
+    ObjId in = b.newDramObject(p.towerBytes());
+    ObjId a = b.newObject(p.towerBytes());
+    std::uint32_t made_a = b.emitCompute(StageId::ModUpIntt, someOps(),
+                                         {in}, {a});
+    std::vector<std::uint32_t> made;
+    for (int i = 0; i < 5; ++i) { // the fifth spills `a`
+        ObjId o = b.newObject(p.towerBytes());
+        made.push_back(
+            b.emitCompute(StageId::ModUpBconv, someOps(), {in}, {o}));
+    }
+    // In-place update reloads `a` (spilling made[0]) and dirties it.
+    std::uint32_t update_a =
+        b.emitCompute(StageId::ModUpNtt, someOps(), {a}, {a});
+    // Four older towers go before `a`; the fifth producer spills it.
+    for (int i = 0; i < 5; ++i) {
+        ObjId o = b.newObject(p.towerBytes());
+        b.emitCompute(StageId::ModUpBconv, someOps(), {in}, {o});
+    }
+    EXPECT_EQ(b.peakResidentBytes(), 6 * p.towerBytes());
+    TaskGraph g = b.take();
+    EXPECT_EQ(storedProviders(g),
+              (std::vector<std::uint32_t>{made_a, made[0], made[1], made[2],
+                                          made[3], made[4], update_a}));
+    EXPECT_EQ(g.countKind(TaskKind::MemLoad), 2u); // `in`, reload of `a`
+}
+
+TEST(GraphBuilderEviction, EvkAndTransientsAreNeverVictims)
+{
+    HksParams p = tinyParams();
+    GraphBuilder b(p, memOf(2));
+    ObjId in = b.newDramObject(p.towerBytes());
+    ObjId evk = b.newEvkObject(p.towerBytes());
+    ObjId tr = b.newTransient();
+    // Oldest touches of the build: the evk load and the transient.
+    b.emitCompute(StageId::ModUpKeyMul, someOps(), {in, evk}, {tr});
+    std::vector<std::uint32_t> made;
+    for (int i = 0; i < 8; ++i) {
+        ObjId o = b.newObject(p.towerBytes());
+        made.push_back(
+            b.emitCompute(StageId::ModUpBconv, someOps(), {in}, {o}));
+    }
+    ObjId out = b.newObject(p.towerBytes());
+    b.emitCompute(StageId::ModUpReduce, someOps(), {tr, evk}, {out});
+    EXPECT_EQ(b.peakResidentBytes(), 6 * p.towerBytes());
+    TaskGraph g = b.take();
+    // No reload of the key and no writeback of the transient.
+    EXPECT_EQ(g.countKind(TaskKind::MemLoad), 2u);
+    EXPECT_EQ(g.evkBytes(), p.towerBytes());
+    EXPECT_EQ(storedProviders(g),
+              (std::vector<std::uint32_t>{made[0], made[1], made[2],
+                                          made[3]}));
 }
