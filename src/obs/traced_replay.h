@@ -2,21 +2,20 @@
  * @file
  * Traced replay: the CompiledSchedule recurrence with an observer.
  *
- * replayTraced() and replayPiecewiseTraced() compute the exact replay
- * recurrence of CompiledSchedule::replay() / replayPiecewise() —
- * the same IEEE divides, maxes and adds in the same order over the
- * ScheduleView — while additionally appending one TraceOp per
- * executed op into a caller-owned TraceBuffer. The results (makespan,
- * scratch.finish/freeAt/busy/jobs) are bit-identical to the plain
- * paths at every replay point, piecewise epochs and done masks
- * included; tests/test_obs.cpp asserts this on randomized DAGs.
+ * replayTraced() and replayPiecewiseTraced() run the replay kernel
+ * (sim/replay_kernel.h) with the same rate policy as
+ * CompiledSchedule::replay() / replayPiecewise() and a trace-append
+ * observer that records one TraceOp per executed op into a
+ * caller-owned TraceBuffer. The recurrence is the plain paths' own
+ * code, so the results (makespan, scratch.finish/freeAt/busy/jobs)
+ * are bit-identical to them at every replay point, piecewise epochs
+ * and done masks included; tests/test_obs.cpp asserts this on
+ * randomized DAGs.
  *
- * The observer lives here, in a separate walk, rather than as a hook
- * inside replay(): the plain hot path — the one sweeps and tuners
- * replay millions of times — keeps zero new branches, and tracing
- * stays strictly opt-in. The cost of the duplication is owned by this
- * file's bit-identity tests, the same contract replayMany's lane
- * bodies already carry.
+ * The observer is a compile-time policy, not a hook inside replay():
+ * the plain hot path — the one sweeps and tuners replay millions of
+ * times — instantiates the null observer and keeps zero new branches,
+ * and tracing stays strictly opt-in.
  */
 
 #ifndef CIFLOW_OBS_TRACED_REPLAY_H

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
+#include "sim/replay_kernel.h"
 
 namespace ciflow::sim
 {
@@ -179,11 +179,14 @@ CompiledSchedule::checkEpochs(const RateEpochs &ep) const
         ep.at.size() != ep.mult.size())
         return {ErrorCode::BadFaultTrace,
                 "rate-epoch offsets do not span the epoch arrays"};
-    for (std::size_t r = 0; r < names.size(); ++r) {
+    // Every offset is validated before any element is read: with the
+    // ends pinned to 0 and at.size(), monotone offsets stay in bounds.
+    for (std::size_t r = 0; r < names.size(); ++r)
         if (ep.off[r] > ep.off[r + 1])
             return {ErrorCode::BadFaultTrace,
                     "rate-epoch offsets are not monotone at resource " +
                         names[r]};
+    for (std::size_t r = 0; r < names.size(); ++r) {
         for (std::uint32_t j = ep.off[r]; j < ep.off[r + 1]; ++j) {
             if (!(std::isfinite(ep.at[j]) && ep.at[j] >= 0.0))
                 return {ErrorCode::BadFaultTrace,
@@ -212,135 +215,32 @@ CompiledSchedule::checkRates(const ReplayRates &rates) const
 }
 
 std::string
-CompiledSchedule::nonFiniteOpReport(const ReplayRates &rates) const
+CompiledSchedule::nonFiniteOpReport(const ReplayRates &rates,
+                                    const RateEpochs &ep,
+                                    const std::uint8_t *done) const
 {
-    // Cold path, called at most once per process (right before a
-    // panic) — re-walk the recurrence with throwaway buffers and name
-    // the first op whose duration or finish leaves the finite range.
-    const std::size_t nt = taskCount();
-    std::vector<double> finish(nt, 0.0);
-    std::vector<double> freeAt(names.size(), 0.0);
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-    for (std::size_t t = 0; t < nt; ++t) {
-        double ready = 0.0;
-        for (std::uint32_t i = depOff[t]; i < depOff[t + 1]; ++i)
-            ready = finish[depIds[i]] > ready ? finish[depIds[i]]
-                                              : ready;
-        double task_fin = 0.0;
-        for (std::uint32_t i = opOff[t]; i < opOff[t + 1]; ++i) {
-            const ResourceId res = opRes[i];
-            double dur = opSec[i];
-            if (opWork0[i] != 0.0)
-                dur = std::max(dur, opWork0[i] / w0);
-            if (opWork1[i] != 0.0)
-                dur = std::max(dur, opWork1[i] / w1);
-            if (opBytes[i] != 0.0)
-                dur = std::max(dur, opBytes[i] / bps[res]);
-            const double start =
-                freeAt[res] > ready ? freeAt[res] : ready;
-            const double fin = start + dur;
-            const double vis = fin + opPost[i];
-            if (!std::isfinite(vis))
-                return "op " + std::to_string(i) + " of task " +
-                       std::to_string(t) + " (resource " + names[res] +
-                       ")";
-            freeAt[res] = fin;
-            task_fin = vis > task_fin ? vis : task_fin;
-        }
-        finish[t] = task_fin;
-    }
-    return "no offending op found on rescan";
-}
-
-double
-CompiledSchedule::replayCore(const ReplayRates &rates,
-                             ReplayScratch &s) const
-{
-    const std::size_t nt = taskCount();
-    const std::size_t nr = names.size();
-
-    // finish[t] is written before any read (deps point backward), so a
-    // plain resize suffices; the per-resource accumulators need zeroing.
-    if (s.finish.size() < nt)
-        s.finish.resize(nt);
-    s.freeAt.assign(nr, 0.0);
-    s.busy.assign(nr, 0.0);
-    s.jobs.assign(nr, 0);
-
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-
-    double makespan = 0.0;
-    for (std::size_t t = 0; t < nt; ++t) {
-        double ready = 0.0;
-        for (std::uint32_t i = depOff[t]; i < depOff[t + 1]; ++i) {
-            const double f = s.finish[depIds[i]];
-            if (f > ready)
-                ready = f;
-        }
-        double task_fin = 0.0;
-        for (std::uint32_t i = opOff[t]; i < opOff[t + 1]; ++i) {
-            const ResourceId res = opRes[i];
-            // max over components; all are >= 0 and max is exact, so
-            // the result is bit-identical to evaluating only the
-            // component(s) the op actually carries. Zero numerators
-            // are skipped rather than divided: 0/rate is +0 exactly
-            // and can never raise the max, so an op pays one divide
-            // per component it carries, not one per class.
-            double dur = opSec[i];
-            if (opWork0[i] != 0.0) {
-                const double da = opWork0[i] / w0;
-                if (da > dur)
-                    dur = da;
-            }
-            if (opWork1[i] != 0.0) {
-                const double ds = opWork1[i] / w1;
-                if (ds > dur)
-                    dur = ds;
-            }
-            if (opBytes[i] != 0.0) {
-                const double db = opBytes[i] / bps[res];
-                if (db > dur)
-                    dur = db;
-            }
-            const double start =
-                s.freeAt[res] > ready ? s.freeAt[res] : ready;
-            // The resource frees after the service duration; dependents
-            // additionally wait out the op's propagation delay. With
-            // postSeconds == 0 both times are the same double, so the
-            // pre-latency replay results are reproduced bit-exactly.
-            const double fin = start + dur;
-            s.freeAt[res] = fin;
-            s.busy[res] += dur;
-            ++s.jobs[res];
-            const double vis = fin + opPost[i];
-            if (vis > task_fin)
-                task_fin = vis;
-        }
-        s.finish[t] = task_fin;
-        // Every op finish is bounded by its task finish, so the latest
-        // task finish dominates every resource's freeAt.
-        if (task_fin > makespan)
-            makespan = task_fin;
-    }
-    return makespan;
+    // Cold path, at most once per failed replay: re-run the recurrence
+    // under the rates that overflowed, into throwaway buffers, and name
+    // the first op whose visible time left the finite range. An empty
+    // epoch table serves every op at m == 1.0, exactly as flat rates.
+    ReplayScratch tmp;
+    kernel::EpochRates r(rates, ep, done, tmp);
+    kernel::FirstNonFinite obs;
+    kernel::replayWith(view(), r, obs, kernel::scalarState(view(), tmp));
+    if (!obs.found)
+        return "no offending op found on rescan";
+    return "op " + std::to_string(obs.op) + " of task " +
+           std::to_string(obs.task) + " (resource " + names[obs.resource] +
+           ")";
 }
 
 double
 CompiledSchedule::replay(const ReplayRates &rates,
                          ReplayScratch &s) const
 {
-    checkRates(rates);
-    const double makespan = replayCore(rates, s);
-    // With rates validated finite-positive and numerators validated at
-    // addTask, the only way here is overflow to +inf — still garbage,
-    // still reported deterministically.
-    if (!std::isfinite(makespan))
-        panic("replay produced a non-finite makespan: " +
-              nonFiniteOpReport(rates));
+    double makespan = 0.0;
+    if (Error e = tryReplay(rates, s, makespan))
+        panic(e.message());
     return makespan;
 }
 
@@ -350,11 +250,17 @@ CompiledSchedule::tryReplay(const ReplayRates &rates, ReplayScratch &s,
 {
     if (Error e = checkReplay(rates))
         return e;
-    const double makespan = replayCore(rates, s);
+    kernel::FlatRates<double> r = kernel::pointRates(rates);
+    kernel::NullObserver obs;
+    const double makespan =
+        kernel::replayWith(view(), r, obs, kernel::scalarState(view(), s));
+    // With rates validated finite-positive and numerators validated at
+    // addTask, the only way here is overflow to +inf — still garbage,
+    // still reported deterministically.
     if (!std::isfinite(makespan))
         return {ErrorCode::NonFiniteDuration,
                 "replay produced a non-finite makespan: " +
-                    nonFiniteOpReport(rates)};
+                    nonFiniteOpReport(rates, {}, nullptr)};
     out = makespan;
     return {};
 }
@@ -374,411 +280,94 @@ CompiledSchedule::replayPiecewise(const ReplayRates &rates,
     checkRates(rates);
     if (Error e = checkEpochs(ep))
         panic(e.message());
-
-    const std::size_t nt = taskCount();
-    const std::size_t nr = names.size();
-    if (s.finish.size() < nt)
-        s.finish.resize(nt);
-    s.freeAt.assign(nr, 0.0);
-    s.busy.assign(nr, 0.0);
-    s.jobs.assign(nr, 0);
-    const bool hasEp = !ep.off.empty();
-    if (hasEp) {
-        // Per-resource epoch cursors. Op starts on one resource are
-        // non-decreasing (start = max(freeAt, ready) >= the previous
-        // op's finish there), so cursors only ever move forward — the
-        // whole replay advances each resource's epoch list once.
-        s.epoch.assign(nr, 0);
-        for (std::size_t r = 0; r < nr; ++r)
-            s.epoch[r] = ep.off[r];
-    }
-
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-    const double inf = std::numeric_limits<double>::infinity();
-
-    // Duration of op i when its resource serves at m times its rate:
-    // the same component divides as replayCore with each rate
-    // multiplied once by m (component / (rate * m)). At m == 1 every
-    // product is exact (x * 1.0 == x), so the duration is bit-identical
-    // to the unfaulted one. The fixed seconds component is wall-clock
-    // (issue overhead, link propagation), not service on the degraded
-    // resource, and is deliberately not scaled.
-    const auto durAt = [&](std::uint32_t i, ResourceId res, double m) {
-        double dur = opSec[i];
-        if (opWork0[i] != 0.0) {
-            const double da = opWork0[i] / (w0 * m);
-            if (da > dur)
-                dur = da;
-        }
-        if (opWork1[i] != 0.0) {
-            const double ds = opWork1[i] / (w1 * m);
-            if (ds > dur)
-                dur = ds;
-        }
-        if (opBytes[i] != 0.0) {
-            const double db = opBytes[i] / (bps[res] * m);
-            if (db > dur)
-                dur = db;
-        }
-        return dur;
-    };
-
-    double makespan = 0.0;
-    for (std::size_t t = 0; t < nt; ++t) {
-        if (done != nullptr && done[t] != 0) {
-            // Completed before this (re)play began: dependents see it
-            // immediately and it occupies no resource time. The
-            // failover path uses this to charge only surviving work.
-            s.finish[t] = 0.0;
-            continue;
-        }
-        double ready = 0.0;
-        for (std::uint32_t i = depOff[t]; i < depOff[t + 1]; ++i) {
-            const double f = s.finish[depIds[i]];
-            if (f > ready)
-                ready = f;
-        }
-        double task_fin = 0.0;
-        for (std::uint32_t i = opOff[t]; i < opOff[t + 1]; ++i) {
-            const ResourceId res = opRes[i];
-            const double start =
-                s.freeAt[res] > ready ? s.freeAt[res] : ready;
-            double fin;
-            if (!hasEp || ep.off[res] == ep.off[res + 1]) {
-                // No epochs on this resource: the plain replayCore op
-                // body (m == 1 products are exact).
-                const double dur = durAt(i, res, 1.0);
-                fin = start + dur;
-                s.busy[res] += dur;
-            } else {
-                const std::uint32_t lo = ep.off[res];
-                const std::uint32_t hi = ep.off[res + 1];
-                std::uint32_t c = s.epoch[res];
-                while (c < hi && ep.at[c] <= start)
-                    ++c;
-                double m = c > lo ? ep.mult[c - 1] : 1.0;
-                double dur = durAt(i, res, m);
-                double nextAt = c < hi ? ep.at[c] : inf;
-                fin = start + dur;
-                if (fin <= nextAt) {
-                    // Entirely inside one epoch: a single divide
-                    // chain; at m == 1 exactly the unfaulted op.
-                    s.busy[res] += dur;
-                } else {
-                    // The op spans epoch boundaries. Fractional
-                    // progress: the share of service not yet done when
-                    // the rate changes is re-timed at the new rate, so
-                    // degradation applies mid-op instead of snapping
-                    // to op boundaries.
-                    double tcur = start;
-                    double frac = 1.0;
-                    while (true) {
-                        const double rem = frac * dur;
-                        if (c >= hi || tcur + rem <= nextAt) {
-                            fin = tcur + rem;
-                            break;
-                        }
-                        frac -= (nextAt - tcur) / dur;
-                        // Rounding can push the remaining share a hair
-                        // below zero; clamp so finish never precedes
-                        // the boundary just crossed.
-                        if (frac < 0.0)
-                            frac = 0.0;
-                        tcur = nextAt;
-                        m = ep.mult[c];
-                        ++c;
-                        dur = durAt(i, res, m);
-                        nextAt = c < hi ? ep.at[c] : inf;
-                    }
-                    s.busy[res] += fin - start;
-                }
-                s.epoch[res] = c;
-            }
-            s.freeAt[res] = fin;
-            ++s.jobs[res];
-            const double vis = fin + opPost[i];
-            if (vis > task_fin)
-                task_fin = vis;
-        }
-        s.finish[t] = task_fin;
-        if (task_fin > makespan)
-            makespan = task_fin;
-    }
+    kernel::EpochRates r(rates, ep, done, s);
+    kernel::NullObserver obs;
+    const double makespan =
+        kernel::replayWith(view(), r, obs, kernel::scalarState(view(), s));
     if (!std::isfinite(makespan))
         panic("piecewise replay produced a non-finite makespan: " +
-              nonFiniteOpReport(rates));
+              nonFiniteOpReport(rates, ep, done));
     return makespan;
 }
 
 namespace
 {
 
-/** The flattened-schedule pointers one block replay walks. */
-struct BlockView
-{
-    const std::uint32_t *depOff;
-    const TaskId *depIds;
-    const std::uint32_t *opOff;
-    const ResourceId *opRes;
-    const double *opBytes;
-    const double *opWork0;
-    const double *opWork1;
-    const double *opSec;
-    const double *opPost;
-    std::size_t taskCount;
-};
+// LaneVec values cross always_inline kernel helpers by value, which GCC
+// flags (-Wpsabi) as an ABI hazard for ISAs without 512-bit registers;
+// every such call is inlined into this TU, so none crosses an ABI
+// boundary (the library builds with -Wno-psabi — the warning is emitted
+// at clone expansion, outside any diagnostic-pragma region).
 
 /**
- * One block of up to kBatchLanes point-lanes: the scalar replay() op
- * body evaluated per lane over lane-contiguous buffers — the same
- * divides in the same max order, so every lane is bit-identical to
- * its scalar replay. Marked always_inline so the `lanes` argument
- * constant-propagates when the full-block wrapper below passes the
- * compile-time kBatchLanes, turning every lane loop into a
- * fixed-trip-count, unit-stride loop the vectorizer unrolls flat.
- */
-[[gnu::always_inline]] inline void
-blockBody(const BlockView &v, const std::size_t lanes, BatchScratch &s,
-          double *makespans)
-{
-    const double *__restrict w0 = s.w0.data();
-    const double *__restrict w1 = s.w1.data();
-    double ready[kBatchLanes];
-    double dur[kBatchLanes];
-    double task_fin[kBatchLanes];
-    double makespan[kBatchLanes] = {};
-
-    for (std::size_t t = 0; t < v.taskCount; ++t) {
-        for (std::size_t l = 0; l < lanes; ++l) {
-            ready[l] = 0.0;
-            task_fin[l] = 0.0;
-        }
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
-            const double *df = &s.finish[v.depIds[i] * lanes];
-            for (std::size_t l = 0; l < lanes; ++l)
-                if (df[l] > ready[l])
-                    ready[l] = df[l];
-        }
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            const ResourceId res = v.opRes[i];
-            const double bytes = v.opBytes[i];
-            const double work0 = v.opWork0[i];
-            const double work1 = v.opWork1[i];
-            const double sec = v.opSec[i];
-            const double post = v.opPost[i];
-            const double *__restrict bp = &s.bps[res * lanes];
-            double *__restrict fa = &s.freeAt[res * lanes];
-            double *__restrict bz = &s.busy[res * lanes];
-            // Component maxes in staged lane loops; zero numerators
-            // are skipped exactly as in scalar replay() (0/rate is +0
-            // and never raises the max), and the branch is per-op —
-            // uniform across lanes — so each stage stays branch-free
-            // vector code.
-            for (std::size_t l = 0; l < lanes; ++l)
-                dur[l] = sec;
-            if (work0 != 0.0)
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    const double da = work0 / w0[l];
-                    if (da > dur[l])
-                        dur[l] = da;
-                }
-            if (work1 != 0.0)
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    const double ds = work1 / w1[l];
-                    if (ds > dur[l])
-                        dur[l] = ds;
-                }
-            if (bytes != 0.0)
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    const double db = bytes / bp[l];
-                    if (db > dur[l])
-                        dur[l] = db;
-                }
-            for (std::size_t l = 0; l < lanes; ++l) {
-                const double start =
-                    fa[l] > ready[l] ? fa[l] : ready[l];
-                const double fin = start + dur[l];
-                fa[l] = fin;
-                bz[l] += dur[l];
-                const double vis = fin + post;
-                if (vis > task_fin[l])
-                    task_fin[l] = vis;
-            }
-            ++s.jobs[res];
-        }
-        double *tf = &s.finish[t * lanes];
-        for (std::size_t l = 0; l < lanes; ++l) {
-            tf[l] = task_fin[l];
-            if (task_fin[l] > makespan[l])
-                makespan[l] = task_fin[l];
-        }
-    }
-    for (std::size_t l = 0; l < lanes; ++l)
-        makespans[l] = makespan[l];
-}
-
-#if defined(__GNUC__)
-
-// laneMax passes 64-byte vectors by value, which GCC flags (-Wpsabi)
-// as an ABI hazard for ISAs without 512-bit registers; every such
-// call is always_inline and internal to this TU, so none crosses an
-// ABI boundary (the library builds with -Wno-psabi — the warning is
-// emitted at clone expansion, outside any diagnostic-pragma region).
-
-/**
- * One full batch block as an explicit vector value: kBatchLanes
- * doubles wide, element-aligned (the scratch buffers guarantee no
- * more), allowed to alias the double arrays it loads from. GCC/Clang
- * lower it to the widest unit the target has and split otherwise, so
- * the lane math is guaranteed SIMD — no cost-model coin flip — while
- * every element still sees the exact IEEE divide/max/add of the
- * scalar replay.
+ * One batch block as an explicit vector value, kBatchLanes doubles
+ * wide (the kernel moves it to and from the scratch buffers with
+ * memcpy, so their element alignment suffices). GCC/Clang lower it to
+ * the widest unit the target has and split otherwise, so the lane math
+ * is guaranteed SIMD — no cost-model coin flip — while every element
+ * still sees the exact IEEE divide/max/add of a scalar replay.
  */
 typedef double LaneVec
-    __attribute__((vector_size(kBatchLanes * sizeof(double)),
-                   aligned(8), may_alias));
-
-[[gnu::always_inline]] inline LaneVec
-laneMax(LaneVec a, LaneVec b)
-{
-    return a > b ? a : b;
-}
+    __attribute__((vector_size(kBatchLanes * sizeof(double))));
 
 /**
- * Full-width block with per-ISA clones: the resolver picks the widest
- * vector unit the host has (AVX-512, AVX2, or baseline SSE2) at load
- * time. Every clone runs the identical IEEE operations — ISA width
- * changes how many lanes one instruction covers, never a result bit.
+ * The kernel over one block, with per-ISA clones: the resolver picks
+ * the widest vector unit the host has (AVX-512, AVX2, or baseline SSE2)
+ * at load time. Every clone runs the identical IEEE operations — ISA
+ * width changes how many lanes one instruction covers, never a result
+ * bit.
  */
 #if defined(__x86_64__)
 [[gnu::target_clones("default", "avx2", "arch=x86-64-v4")]]
 #endif
 void
-blockBodyFull(const BlockView &v, BatchScratch &s, double *makespans)
+replayBlockLanes(const ScheduleView &v, BatchScratch &s, double *makespans)
 {
-    const LaneVec w0 = *reinterpret_cast<const LaneVec *>(s.w0.data());
-    const LaneVec w1 = *reinterpret_cast<const LaneVec *>(s.w1.data());
-    LaneVec makespan = {};
-
-    for (std::size_t t = 0; t < v.taskCount; ++t) {
-        LaneVec ready = {};
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i)
-            ready = laneMax(ready,
-                            *reinterpret_cast<const LaneVec *>(
-                                &s.finish[v.depIds[i] * kBatchLanes]));
-        LaneVec task_fin = {};
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            const ResourceId res = v.opRes[i];
-            // Component maxes with zero numerators skipped exactly as
-            // in scalar replay() (0/rate is +0 and never raises the
-            // max); the branches are per-op, uniform across lanes.
-            LaneVec dur = v.opSec[i] - LaneVec{};
-            if (v.opWork0[i] != 0.0)
-                dur = laneMax(dur, v.opWork0[i] / w0);
-            if (v.opWork1[i] != 0.0)
-                dur = laneMax(dur, v.opWork1[i] / w1);
-            if (v.opBytes[i] != 0.0)
-                dur = laneMax(dur,
-                              v.opBytes[i] /
-                                  *reinterpret_cast<const LaneVec *>(
-                                      &s.bps[res * kBatchLanes]));
-            LaneVec *fa = reinterpret_cast<LaneVec *>(
-                &s.freeAt[res * kBatchLanes]);
-            LaneVec *bz = reinterpret_cast<LaneVec *>(
-                &s.busy[res * kBatchLanes]);
-            const LaneVec fin = laneMax(*fa, ready) + dur;
-            *fa = fin;
-            *bz = *bz + dur;
-            task_fin = laneMax(task_fin, fin + v.opPost[i]);
-            ++s.jobs[res];
-        }
-        *reinterpret_cast<LaneVec *>(&s.finish[t * kBatchLanes]) =
-            task_fin;
-        makespan = laneMax(makespan, task_fin);
-    }
-    *reinterpret_cast<LaneVec *>(makespans) = makespan;
-}
-
-#else // !__GNUC__: portable scalar fallback
-
-void
-blockBodyFull(const BlockView &v, BatchScratch &s, double *makespans)
-{
-    blockBody(v, kBatchLanes, s, makespans);
-}
-
-#endif
-
-/** Tail block (< kBatchLanes lanes); runtime width, no clones. */
-void
-blockBodyTail(const BlockView &v, std::size_t lanes, BatchScratch &s,
-              double *makespans)
-{
-    blockBody(v, lanes, s, makespans);
+    kernel::FlatRates<LaneVec> r{s.bps.data(),
+                                 kernel::load<LaneVec>(s.w0.data()),
+                                 kernel::load<LaneVec>(s.w1.data())};
+    kernel::NullObserver obs;
+    kernel::store(makespans,
+                  kernel::replayWith(v, r, obs,
+                                     {s.finish.data(), s.freeAt.data(),
+                                      s.busy.data(), s.jobs.data()}));
 }
 
 } // namespace
 
 void
-CompiledSchedule::replayBlock(const ReplayRates *points,
-                              std::size_t lanes, BatchScratch &s,
-                              double *makespans) const
-{
-    const std::size_t nr = names.size();
-
-    // Transpose the block's rates into lane-contiguous layout so the
-    // per-op lane loops read them with unit stride.
-    for (std::size_t l = 0; l < lanes; ++l) {
-        checkRates(points[l]);
-        for (std::size_t r = 0; r < nr; ++r)
-            s.bps[r * lanes + l] = points[l].bytesPerSec[r];
-        s.w0[l] = points[l].workPerSec[0];
-        s.w1[l] = points[l].workPerSec[1];
-    }
-    for (std::size_t i = 0; i < nr * lanes; ++i) {
-        s.freeAt[i] = 0.0;
-        s.busy[i] = 0.0;
-    }
-    for (std::size_t r = 0; r < nr; ++r)
-        s.jobs[r] = 0;
-
-    const BlockView v{depOff.data(), depIds.data(),  opOff.data(),
-                      opRes.data(),  opBytes.data(), opWork0.data(),
-                      opWork1.data(), opSec.data(),  opPost.data(),
-                      taskCount()};
-    if (lanes == kBatchLanes)
-        blockBodyFull(v, s, makespans);
-    else
-        blockBodyTail(v, lanes, s, makespans);
-}
-
-void
 CompiledSchedule::replayMany(const ReplayRates *points, std::size_t n,
                              BatchScratch &s) const
 {
-    const std::size_t nt = taskCount();
     const std::size_t nr = names.size();
     if (s.makespan.size() < n)
         s.makespan.resize(n);
-    if (s.finish.size() < nt * kBatchLanes)
-        s.finish.resize(nt * kBatchLanes);
-    if (s.freeAt.size() < nr * kBatchLanes) {
-        s.freeAt.resize(nr * kBatchLanes);
-        s.busy.resize(nr * kBatchLanes);
-        s.bps.resize(nr * kBatchLanes);
-    }
-    if (s.jobs.size() < nr)
-        s.jobs.resize(nr);
-    if (s.w0.size() < kBatchLanes) {
-        s.w0.resize(kBatchLanes);
-        s.w1.resize(kBatchLanes);
-    }
+    if (s.finish.size() < taskCount() * kBatchLanes)
+        s.finish.resize(taskCount() * kBatchLanes);
+    s.bps.resize(nr * kBatchLanes);
+    s.w0.resize(kBatchLanes);
+    s.w1.resize(kBatchLanes);
     for (std::size_t base = 0; base < n; base += kBatchLanes) {
-        const std::size_t lanes =
-            n - base < kBatchLanes ? n - base : kBatchLanes;
-        replayBlock(points + base, lanes, s, s.makespan.data() + base);
+        const ReplayRates *block = points + base;
+        const std::size_t lanes = std::min(n - base, kBatchLanes);
+        for (std::size_t l = 0; l < lanes; ++l)
+            checkRates(block[l]);
+        // Transpose the block's rates into lane-contiguous layout. A
+        // tail block's spare lanes replay copies of its first point, so
+        // every block runs the full-width body.
+        for (std::size_t l = 0; l < kBatchLanes; ++l) {
+            const ReplayRates &p = block[l < lanes ? l : 0];
+            for (std::size_t r = 0; r < nr; ++r)
+                s.bps[r * kBatchLanes + l] = p.bytesPerSec[r];
+            s.w0[l] = p.workPerSec[0];
+            s.w1[l] = p.workPerSec[1];
+        }
+        s.freeAt.assign(nr * kBatchLanes, 0.0);
+        s.busy.assign(nr * kBatchLanes, 0.0);
+        s.jobs.assign(nr, 0);
+        double full[kBatchLanes];
+        replayBlockLanes(view(), s, full);
+        std::copy_n(full, lanes, s.makespan.data() + base);
     }
     // Watchdog: lanes are bit-identical to scalar replays, so a
     // non-finite lane is the same overflow replay() would panic on —
@@ -787,7 +376,7 @@ CompiledSchedule::replayMany(const ReplayRates *points, std::size_t n,
         if (!std::isfinite(s.makespan[i]))
             panic("replay produced a non-finite makespan at point " +
                   std::to_string(i) + ": " +
-                  nonFiniteOpReport(points[i]));
+                  nonFiniteOpReport(points[i], {}, nullptr));
 }
 
 SimResult

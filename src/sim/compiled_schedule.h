@@ -21,12 +21,19 @@
  * postSeconds[], resource[]) instead of an array of 56-byte op records.
  * The scalar replay streams only the components it needs, and —
  * the reason for the layout — replayMany() walks the arrays *once*
- * while evaluating up to kBatchLanes replay points per op with
- * lane-contiguous scratch (finish[t*B + lane], freeAt[r*B + lane]), so
- * the per-op lane loop auto-vectorizes. Each lane performs the exact
- * same IEEE divides and maxes as a scalar replay at that point, so a
- * batched sweep is bit-identical lane-by-lane to per-point replay
- * (asserted by tests/test_compiled_schedule.cpp).
+ * per block of kBatchLanes replay points, with lane-contiguous scratch
+ * (finish[t * kBatchLanes + lane], freeAt[r * kBatchLanes + lane]).
+ *
+ * Every replay entry point — replay, tryReplay, replayPiecewise,
+ * replayMany, the watchdog's rescan and obs' traced replays — runs the
+ * one recurrence in sim/replay_kernel.h, instantiated with a rate
+ * policy and an observer. replayMany instantiates it on an explicit
+ * kBatchLanes-wide vector type, so the lane math is SIMD by
+ * construction; a tail block of fewer points pads its spare lanes with
+ * copies of one of its points and runs the same full-width body. Each
+ * lane performs the exact IEEE divides and maxes of a scalar replay at
+ * its point, so a batched sweep is bit-identical lane by lane to
+ * per-point replay (asserted by tests/test_compiled_schedule.cpp).
  *
  * replay() writes into caller-owned ReplayScratch buffers, so repeated
  * simulates — including parallel sweeps with per-thread scratch —
@@ -178,11 +185,12 @@ struct ReplayScratch
  * ReplayScratch, buffers grow on first use and are then reused — one
  * instance per thread makes batched parallel sweeps allocation free.
  *
- * Per-lane layouts index as [t * lanes + lane] / [r * lanes + lane],
- * where `lanes` <= kBatchLanes is the width of the block. After a
- * replayMany() call the per-lane buffers hold the *last* block's
- * state (sweeps of up to kBatchLanes points see all their lanes);
- * `makespan` always covers every submitted point.
+ * Per-lane layouts index as [t * kBatchLanes + lane] /
+ * [r * kBatchLanes + lane] for every block, tail blocks included. After
+ * a replayMany() call the per-lane buffers hold the *last* block's
+ * state: lane l is point (n - 1) / kBatchLanes * kBatchLanes + l for
+ * the block's real points, and a padded tail's spare lanes hold a copy
+ * of one of them. `makespan` always covers every submitted point.
  */
 struct BatchScratch
 {
@@ -196,7 +204,7 @@ struct BatchScratch
     std::vector<double> busy;
     /** Jobs per resource (rate-independent, so lane-invariant). */
     std::vector<std::size_t> jobs;
-    /** Lane-transposed byte rates: bps[r * lanes + lane]. */
+    /** Lane-transposed byte rates: bps[r * kBatchLanes + lane]. */
     std::vector<double> bps;
     /** Per-lane work-class rates. */
     std::vector<double> w0, w1;
@@ -405,8 +413,10 @@ class CompiledSchedule
      * epoch table and a null mask this delegates to replay() and is
      * bit-identical to it; with every multiplier 1.0 the piecewise
      * arithmetic itself is exact (x * 1.0 == x), so a trivial trace
-     * also reproduces replay() bit-for-bit. Thread-safe for concurrent
-     * calls with distinct scratch.
+     * also reproduces replay() bit-for-bit. A non-finite makespan
+     * panics naming the first op that overflowed under these same
+     * epochs and mask. Thread-safe for concurrent calls with distinct
+     * scratch.
      */
     double replayPiecewise(const ReplayRates &rates, const RateEpochs &ep,
                            const std::uint8_t *done,
@@ -478,27 +488,18 @@ class CompiledSchedule
     }
 
   private:
-    /** One <= kBatchLanes-wide block of replayMany. */
-    void replayBlock(const ReplayRates *points, std::size_t lanes,
-                     BatchScratch &s, double *makespans) const;
-
-    /**
-     * The replay() recurrence without rate validation or the finite
-     * watchdog — shared by the aborting replay() and the reporting
-     * tryReplay().
-     */
-    double replayCore(const ReplayRates &rates,
-                      ReplayScratch &scratch) const;
-
     /** Panic unless `rates` covers this schedule's resources. */
     void checkRates(const ReplayRates &rates) const;
 
     /**
-     * Cold-path rescan after a non-finite makespan: find the first op
-     * whose duration (or finish) went non-finite at `rates` and format
-     * "op <i> (resource <name>)" for the watchdog report.
+     * Cold-path rescan after a non-finite makespan: re-run the replay
+     * under the same rates (and epochs and done mask, for a piecewise
+     * replay), find the first op whose visible time went non-finite and
+     * format "op <i> of task <t> (resource <name>)" for the watchdog.
      */
-    std::string nonFiniteOpReport(const ReplayRates &rates) const;
+    std::string nonFiniteOpReport(const ReplayRates &rates,
+                                  const RateEpochs &ep,
+                                  const std::uint8_t *done) const;
 
     // --- binding: rewritten in place by the patch API ---
     std::vector<std::string> names;

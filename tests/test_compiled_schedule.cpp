@@ -505,19 +505,31 @@ TEST(BatchedReplay, DegenerateAndTailBatchWidths)
 
     // Odd batch sizes: B=1 (degenerate), a sub-block, and a size that
     // forces full blocks plus a tail. Every makespan must equal the
-    // scalar replay at its point.
-    for (std::size_t n :
-         {std::size_t{1}, sim::kBatchLanes - 1,
-          2 * sim::kBatchLanes + 3}) {
+    // scalar replay at its point, and every real lane of the last
+    // (tail) block its scalar finish, busy and jobs.
+    const std::size_t B = sim::kBatchLanes;
+    for (std::size_t n : {std::size_t{1}, B - 1, 2 * B + 3}) {
         std::vector<sim::ReplayRates> pts;
         for (std::size_t i = 0; i < n; ++i)
             pts.push_back(randomRates(rng, nr));
         sim::BatchScratch batch;
         cs.replayMany(pts.data(), n, batch);
+        const std::size_t last = (n - 1) / B * B;
         for (std::size_t i = 0; i < n; ++i) {
             sim::ReplayScratch scalar;
             EXPECT_EQ(batch.makespan[i], cs.replay(pts[i], scalar))
                 << "n=" << n << " point " << i;
+            if (i < last)
+                continue;
+            const std::size_t l = i - last;
+            for (std::size_t t = 0; t < nt; ++t)
+                ASSERT_EQ(batch.finish[t * B + l], scalar.finish[t])
+                    << "n=" << n << " lane " << l << " task " << t;
+            for (std::size_t r = 0; r < nr; ++r) {
+                ASSERT_EQ(batch.busy[r * B + l], scalar.busy[r])
+                    << "n=" << n << " lane " << l << " resource " << r;
+                ASSERT_EQ(batch.jobs[r], scalar.jobs[r]);
+            }
         }
     }
 }

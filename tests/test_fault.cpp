@@ -324,6 +324,16 @@ TEST(Piecewise, MalformedEpochTableDies)
     wrong.off = {0, 1, 1}; // two resources, schedule has one
     EXPECT_EQ(cs.checkEpochs(wrong).code,
               sim::ErrorCode::BadFaultTrace);
+    // Every offset is checked before any epoch is read: resource 0's
+    // range [0, 5) runs past the two-entry arrays.
+    sim::CompiledSchedule two;
+    two.addResource("a");
+    two.addResource("b");
+    sim::RateEpochs past = epochsAt({0.0, 1.0}, {0.5, 0.5});
+    past.off = {0, 5, 2};
+    EXPECT_EQ(two.checkEpochs(past).code, sim::ErrorCode::BadFaultTrace);
+    EXPECT_DEATH(two.replayPiecewise(unitRates(2), past, nullptr, s),
+                 "not monotone");
 }
 
 TEST(Watchdog, NonFiniteNumeratorsDieAtCompileTime)
@@ -387,6 +397,13 @@ TEST(Watchdog, OverflowedDurationNamesTheOp)
               sim::ErrorCode::NonFiniteDuration);
     sim::BatchScratch bs;
     EXPECT_DEATH(cs.replayMany(&tiny, 1, bs), "op 0 of task 0");
+    // Only the epoch multiplier overflows the duration (1e10 bytes at
+    // 1 B/s * 1e-300): the report rescans under the same epochs.
+    sim::CompiledSchedule slow = oneOpSchedule(1e10);
+    EXPECT_DEATH(slow.replayPiecewise(unitRates(1),
+                                      epochsAt({0.0}, {1e-300}), nullptr,
+                                      s),
+                 "op 0 of task 0");
 }
 
 TEST(TaskGraphErrors, ValidateCheckedMatchesValidate)
