@@ -169,30 +169,25 @@ RpuEngine::compileInto(const TaskGraph &g, sim::CompiledSchedule &cs,
             nops += 1;
     }
     cs.reserve(g.size(), ndeps, nops);
-    if (meta) {
-        meta->roles.reserve(nops);
-        meta->memBytes.reserve(nops);
-    }
 
     ChannelPlacer placer(cfg.channelPolicy, nchan);
     std::vector<sim::CompiledOp> ops;
     for (const Task &t : g.tasks()) {
+        // Index of this task's first op in the schedule's op stream.
+        const auto op0 = static_cast<std::uint32_t>(cs.opCount());
         ops.clear();
         lowerTask(t, cg, placer, 0, ops);
         cs.addTask(t.deps.data(), t.deps.size(), ops.data(),
                    ops.size());
         if (meta) {
             if (t.kind == TaskKind::Compute) {
-                meta->roles.push_back(OpRole::Pipe0);
-                meta->memBytes.push_back(0);
-                if (ops.size() > 1) {
-                    meta->roles.push_back(OpRole::Pipe1);
-                    meta->memBytes.push_back(0);
-                }
+                meta->pipe0Idx.push_back(op0);
+                if (ops.size() > 1)
+                    meta->pipe1Idx.push_back(op0 + 1);
             } else {
-                meta->roles.push_back(t.isEvk ? OpRole::MemEvk
-                                              : OpRole::Mem);
-                meta->memBytes.push_back(t.bytes);
+                meta->memIdx.push_back(op0);
+                meta->memIsEvk.push_back(t.isEvk ? 1 : 0);
+                meta->memIdxBytes.push_back(t.bytes);
             }
         }
     }
@@ -213,25 +208,6 @@ RpuEngine::compilePatchable(const TaskGraph &g) const
     PatchableSchedule ps;
     compileInto(g, ps.schedule, &ps);
     ps.layout = RpuLayout::of(cfg);
-
-    // Role-split index for recompileChannels' tight rebind loops.
-    for (std::size_t i = 0; i < ps.roles.size(); ++i) {
-        switch (ps.roles[i]) {
-        case OpRole::Mem:
-        case OpRole::MemEvk:
-            ps.memIdx.push_back(static_cast<std::uint32_t>(i));
-            ps.memIsEvk.push_back(ps.roles[i] == OpRole::MemEvk ? 1
-                                                                : 0);
-            ps.memIdxBytes.push_back(ps.memBytes[i]);
-            break;
-        case OpRole::Pipe0:
-            ps.pipe0Idx.push_back(static_cast<std::uint32_t>(i));
-            break;
-        case OpRole::Pipe1:
-            ps.pipe1Idx.push_back(static_cast<std::uint32_t>(i));
-            break;
-        }
-    }
     return ps;
 }
 
@@ -244,12 +220,9 @@ RpuEngine::recompileChannels(PatchableSchedule &ps) const
             "channel repatch cannot change the pipe split or vector "
             "length: those shape the skeleton, recompile from the "
             "graph");
-    panicIf(ps.roles.size() != ps.schedule.opCount(),
-            "patchable schedule metadata does not cover its op stream");
-
     panicIf(ps.memIdx.size() + ps.pipe0Idx.size() +
                     ps.pipe1Idx.size() !=
-                ps.roles.size(),
+                ps.schedule.opCount(),
             "patchable schedule index does not cover its op stream");
 
     const std::size_t nchan = cfg.channelCount();

@@ -144,27 +144,25 @@ enum class OpRole : std::uint8_t {
 
 /**
  * A compiled schedule plus the per-op metadata needed to rebind it to
- * a new channel layout in place (RpuEngine::recompileChannels): op
- * roles and exact memory payloads, kept as uint64 so a re-placement's
- * LeastLoaded accounting and tie-breaking are bit-identical to a
- * fresh compile. Produced by compilePatchable(); the schedule member
- * replays exactly like a compile() result.
+ * a new channel layout in place (RpuEngine::recompileChannels): a
+ * role-split index of the op stream with exact memory payloads, kept
+ * as uint64 so a re-placement's LeastLoaded accounting and
+ * tie-breaking are bit-identical to a fresh compile. Produced by
+ * compilePatchable(); the schedule member replays exactly like a
+ * compile() result.
  */
 struct PatchableSchedule
 {
     sim::CompiledSchedule schedule;
     /** Layout the binding currently targets. */
     RpuLayout layout;
-    /** Role per op, parallel to the schedule's op stream. */
-    std::vector<OpRole> roles;
-    /** Memory-op payload in bytes (0 for pipe ops). */
-    std::vector<std::uint64_t> memBytes;
 
-    // Role-split index of the op stream, derived from `roles` by
-    // compilePatchable so recompileChannels can rebind each class in
-    // a tight loop instead of switching per op. memIdx keeps the mem
-    // ops in stream order — the order every ChannelPolicy's placement
-    // sequence is defined over.
+    // Role-split index of the op stream, recorded by the lowering pass
+    // so recompileChannels can rebind each class in a tight loop
+    // instead of switching per op. memIdx keeps the mem ops in stream
+    // order — the order every ChannelPolicy's placement sequence is
+    // defined over. Together the three index arrays cover every op
+    // exactly once.
     /** Op indices of the memory ops, in op-stream order. */
     std::vector<std::uint32_t> memIdx;
     /** 1 where memIdx[k] is an evk-stream op (parallel to memIdx). */
@@ -205,7 +203,7 @@ class RpuEngine
     /**
      * compile() plus the per-op metadata recompileChannels() needs:
      * the schedule is built by the same lowering pass (bit-identical
-     * to compile()), with two side arrays recorded along the way.
+     * to compile()), with the role-split index recorded along the way.
      */
     PatchableSchedule compilePatchable(const TaskGraph &g) const;
 

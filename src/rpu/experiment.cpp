@@ -26,19 +26,48 @@ HksExperiment::normalized(const RpuConfig &cfg_in) const
 }
 
 const sim::CompiledSchedule &
-HksExperiment::scheduleFor(const RpuLayout &layout,
-                           const RpuConfig &cfg) const
+HksExperiment::scheduleFor(const RpuConfig *cfgs, std::size_t n) const
 {
-    if (layout == defLayout)
+    const RpuLayout want = RpuLayout::of(cfgs[0]);
+    if (want == defLayout)
         return def;
+    // Called with layouts_mu held.
+    auto cached =
+        [this](const RpuLayout &l) -> const sim::CompiledSchedule * {
+        if (l == defLayout)
+            return &def;
+        for (const auto &[k, cs] : layouts)
+            if (k == l)
+                return cs.get();
+        return nullptr;
+    };
     std::lock_guard<std::mutex> lk(layouts_mu);
-    for (const auto &[l, cs] : layouts)
-        if (l == layout)
-            return *cs;
-    layouts.emplace_back(
-        layout, std::make_unique<const sim::CompiledSchedule>(
-                    RpuEngine(cfg).compile(g)));
-    return *layouts.back().second;
+    if (const sim::CompiledSchedule *cs = cached(want))
+        return *cs;
+    // Fill every miss among the points in one step. A patched binding
+    // is bit-identical to a fresh compile of its layout
+    // (tests/test_patch.cpp), so each further channel-axis layout is
+    // one rebind pass; the transient patchable schedule is dropped on
+    // return and only the finished schedules stay cached.
+    PatchableSchedule ps;
+    bool have = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        const RpuLayout l = RpuLayout::of(cfgs[i]);
+        if (cached(l))
+            continue;
+        const RpuEngine eng(normalized(cfgs[i]));
+        if (have && l.splitComputePipes == ps.layout.splitComputePipes &&
+            l.vectorLen == ps.layout.vectorLen) {
+            eng.recompileChannels(ps);
+        } else {
+            ps = eng.compilePatchable(g);
+            have = true;
+        }
+        layouts.emplace_back(
+            l, std::make_unique<const sim::CompiledSchedule>(
+                   ps.schedule));
+    }
+    return *cached(want);
 }
 
 SimStats
@@ -64,8 +93,7 @@ double
 HksExperiment::simulateRuntime(const RpuConfig &cfg_in) const
 {
     const RpuConfig cfg = normalized(cfg_in);
-    return RpuEngine(cfg).replayRuntime(
-        scheduleFor(RpuLayout::of(cfg), cfg));
+    return RpuEngine(cfg).replayRuntime(scheduleFor(&cfg, 1));
 }
 
 namespace
@@ -93,37 +121,12 @@ batchTls()
 
 } // namespace
 
-void
+std::size_t
 HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
                                    double *out) const
 {
-    if (n == 0)
-        return;
-    const RpuConfig first = normalized(cfgs[0]);
-    const RpuLayout layout = RpuLayout::of(first);
-    const sim::CompiledSchedule &cs = scheduleFor(layout, first);
-
     BatchTls &tls = batchTls();
-    if (tls.rates.size() < n)
-        tls.rates.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const RpuConfig cfg = normalized(cfgs[i]);
-        panicIf(!(RpuLayout::of(cfg) == layout),
-                "batched replay points must share one compiled "
-                "layout; fall back to scalar simulate() for "
-                "layout-changing sweeps");
-        RpuEngine(cfg).rates(cs, tls.rates[i]);
-    }
-    cs.replayMany(tls.rates.data(), n, tls.scratch);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = tls.scratch.makespan[i];
-}
-
-void
-HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
-                                   double *out, LayoutSweep &sweep) const
-{
-    BatchTls &tls = batchTls();
+    std::size_t patched = 0;
     std::size_t i = 0;
     while (i < n) {
         // Layout depends only on channel/pipe knobs, which
@@ -132,44 +135,40 @@ HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
         std::size_t j = i + 1;
         while (j < n && RpuLayout::of(cfgs[j]) == layout)
             ++j;
-
-        const RpuConfig first = normalized(cfgs[i]);
-        if (!sweep.compiled) {
-            sweep.ps = RpuEngine(first).compilePatchable(g);
-            sweep.compiled = true;
-        } else if (!(sweep.ps.layout == layout)) {
-            RpuEngine(first).recompileChannels(sweep.ps);
-            ++sweep.patches;
-        }
-
         const std::size_t run = j - i;
-        if (run < sim::kBatchLanes / 2) {
-            // A lane block costs roughly a full kBatchLanes-wide walk
-            // regardless of occupancy, so short runs — the pure
-            // layout-axis case of one point per layout — replay
-            // scalar. Bit-identical either way (replayMany lanes
-            // equal scalar replays).
+        // A miss fills every uncached layout of the rest of the batch,
+        // so later runs hit the cache.
+        const sim::CompiledSchedule &cs = scheduleFor(cfgs + i, n - i);
+        if (batchLaneSlots(run) == 0) {
+            // Bit-identical either way: replayMany lanes equal scalar
+            // replays.
             for (std::size_t k = 0; k < run; ++k)
                 out[i + k] = RpuEngine(normalized(cfgs[i + k]))
-                                 .replayRuntime(sweep.ps.schedule);
+                                 .replayRuntime(cs);
         } else {
             if (tls.rates.size() < run)
                 tls.rates.resize(run);
             for (std::size_t k = 0; k < run; ++k)
                 RpuEngine(normalized(cfgs[i + k]))
-                    .rates(sweep.ps.schedule, tls.rates[k]);
-            sweep.ps.schedule.replayMany(tls.rates.data(), run,
-                                         tls.scratch);
+                    .rates(cs, tls.rates[k]);
+            cs.replayMany(tls.rates.data(), run, tls.scratch);
             for (std::size_t k = 0; k < run; ++k)
                 out[i + k] = tls.scratch.makespan[k];
-            sweep.batchedPoints += run;
-            sweep.laneSlots += (run + sim::kBatchLanes - 1) /
-                               sim::kBatchLanes * sim::kBatchLanes;
         }
-        if (sweep.ps.schedule.patchRevision() > 0)
-            sweep.patchedEvals += run;
+        if (cs.patchRevision() > 0)
+            patched += run;
         i = j;
     }
+    return patched;
+}
+
+std::size_t
+HksExperiment::batchLaneSlots(std::size_t run)
+{
+    if (run < sim::kBatchLanes / 2)
+        return 0;
+    return (run + sim::kBatchLanes - 1) / sim::kBatchLanes *
+           sim::kBatchLanes;
 }
 
 void
@@ -213,7 +212,7 @@ HksExperiment::simulate(const RpuConfig &cfg_in) const
 {
     const RpuConfig cfg = normalized(cfg_in);
     const RpuEngine engine(cfg);
-    return engine.replay(scheduleFor(RpuLayout::of(cfg), cfg), g);
+    return engine.replay(scheduleFor(&cfg, 1), g);
 }
 
 const std::vector<double> &

@@ -13,8 +13,12 @@
  * lowering hoisted out of simulate()), and simulate() replays it —
  * a single O(V+E) pass over flat arrays into per-thread scratch, with
  * no allocation on the hot path. Non-default layouts (multi-channel,
- * split pipes, other vector lengths) compile on first use into a small
- * per-experiment cache, so config sweeps pay one compile per layout.
+ * split pipes, other vector lengths) are kept in a per-experiment
+ * layout cache, the one owner of every compiled schedule: scalar and
+ * batched simulates alike replay from it, so config sweeps pay one
+ * compile per layout for the life of the experiment. A batch's
+ * uncached channel-axis layouts fill in one step — one patchable
+ * compile, then an in-place channel rebind per further layout.
  */
 
 #ifndef CIFLOW_RPU_EXPERIMENT_H
@@ -31,37 +35,6 @@
 
 namespace ciflow
 {
-
-/**
- * Caller-owned state of a patch-based layout sweep: one patchable
- * compiled schedule that is rebound in place (recompileChannels) as
- * the sweep crosses channel layouts, plus counters reporting how much
- * of the sweep ran incrementally. Compiled lazily on first use, so a
- * default-constructed LayoutSweep can be handed to any experiment;
- * reuse it only with the same experiment.
- */
-struct LayoutSweep
-{
-    /** The reusable schedule, rebound in place across layouts. */
-    PatchableSchedule ps;
-    /** Whether `ps` holds a compiled schedule yet. */
-    bool compiled = false;
-    /** Channel repatches applied so far. */
-    std::size_t patches = 0;
-    /** Points replayed on a patched (revision > 0) binding. */
-    std::size_t patchedEvals = 0;
-    /** Points replayed through kBatchLanes-wide replayMany blocks
-     * (short same-layout runs fall back to scalar replay and are not
-     * counted). */
-    std::size_t batchedPoints = 0;
-    /**
-     * Lane slots those blocks provisioned: one compiled-array walk
-     * serves kBatchLanes slots whether or not every lane carries a
-     * point, so batchedPoints / laneSlots is the occupancy of the
-     * batched fast path — how much of each walk did useful work.
-     */
-    std::size_t laneSlots = 0;
-};
 
 /** One (benchmark, dataflow, memory) combination, simulated at will. */
 class HksExperiment
@@ -103,31 +76,30 @@ class HksExperiment
                         double modops_mult = 1.0) const;
 
     /**
-     * Batched simulateRuntime over full RPU configurations. All `n`
-     * configurations must share one RpuLayout (they may differ in any
-     * rate knob: bandwidth, MODOPS, clocks, per-channel skew); the
-     * schedule compiled for that layout is then replayed at every
-     * point in kBatchLanes-wide blocks. Panics when a configuration
-     * changes the compiled layout — batch only rate-varying points and
-     * fall back to scalar simulate() for layout-changing sweeps.
+     * Batched simulateRuntime over full RPU configurations. The points
+     * may differ in any knob — rate knobs (bandwidth, MODOPS, clocks,
+     * per-channel skew) and layout knobs alike. Consecutive points of
+     * one RpuLayout form a run replayed from that layout's cached
+     * schedule — in kBatchLanes-wide blocks, or point by point when
+     * the run is short (see batchLaneSlots); uncached layouts among the
+     * points are filled in one step first (see scheduleFor). out[i] is
+     * bit-identical to simulateRuntime(cfgs[i]). Order points by
+     * layout for the fewest, fullest runs. Returns how many points
+     * replayed on a schedule that a channel rebind produced
+     * (patchRevision() > 0) rather than a compile from the graph.
      */
-    void simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
-                             double *out) const;
+    std::size_t simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
+                                    double *out) const;
 
     /**
-     * Layout-crossing batched simulateRuntime: the points may differ
-     * in the *channel* axes (memChannels, channelPolicy) as well as
-     * every rate knob. Consecutive same-layout points form batched
-     * replayMany runs; between runs the sweep's single schedule is
-     * rebound in place with recompileChannels instead of compiling
-     * from the graph, so a layout move costs one pass over the op
-     * stream. out[i] stays bit-identical to simulateRuntime(cfgs[i]).
-     * Points changing the pipe split or vector length panic (those
-     * reshape the skeleton). Order points by layout for fewest
-     * repatches.
+     * Lane slots simulateRuntimeMany walks for a run of `run`
+     * consecutive same-layout points: ceil(run / kBatchLanes) blocks
+     * of kBatchLanes slots, or 0 for a run shorter than
+     * kBatchLanes / 2, which replays point by point — a lane block
+     * costs about a full-width walk whatever its occupancy, so the
+     * one-point-per-layout case runs faster scalar.
      */
-    void simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
-                             double *out, LayoutSweep &sweep) const;
+    static std::size_t batchLaneSlots(std::size_t run);
 
     /**
      * Simulate under a full RPU configuration (channel count and
@@ -149,9 +121,18 @@ class HksExperiment
     /** Fill in this experiment's memory-system fields. */
     RpuConfig normalized(const RpuConfig &cfg_in) const;
 
-    /** The compiled schedule for `layout` (compiling on first use). */
-    const sim::CompiledSchedule &scheduleFor(const RpuLayout &layout,
-                                             const RpuConfig &cfg) const;
+    /**
+     * The compiled schedule for cfgs[0]'s layout. On a cache miss,
+     * every uncached layout among cfgs[0..n) is filled in one step
+     * under layouts_mu: the first miss compiles a transient
+     * PatchableSchedule from the graph, each further channel-axis
+     * layout (memChannels, channelPolicy) is rebound from it with
+     * recompileChannels, and only the finished CompiledSchedules are
+     * kept. A miss that changes the pipe split or vector length —
+     * the skeleton — compiles from the graph afresh.
+     */
+    const sim::CompiledSchedule &scheduleFor(const RpuConfig *cfgs,
+                                             std::size_t n) const;
 
     HksParams par;
     Dataflow df;
@@ -162,7 +143,7 @@ class HksExperiment
     RpuLayout defLayout;
     sim::CompiledSchedule def;
 
-    /** Lazily compiled schedules for other layouts (config sweeps). */
+    /** Lazily filled schedules for other layouts (config sweeps). */
     mutable std::mutex layouts_mu;
     mutable std::vector<
         std::pair<RpuLayout, std::unique_ptr<const sim::CompiledSchedule>>>

@@ -146,9 +146,8 @@ Tuner::evaluateAll(const std::vector<std::vector<std::size_t>> &pts)
         // single-chip points of one graph (benchmark, dataflow,
         // capacity, evk residency). Members spanning channel layouts
         // are layout-adjacent: evaluateBatch sorts them by layout and
-        // routes multi-layout groups through the patch-based sweep —
-        // one schedule rebound in place — instead of one compile per
-        // layout.
+        // replays the group as one batch from the experiment's layout
+        // cache, which compiles each layout once per experiment.
         EvalKey gk = keyOf(p);
         gk.bandwidthGBps = 0.0;
         gk.modopsMult = 0.0;
@@ -193,11 +192,11 @@ Tuner::evaluateBatch(const std::vector<std::size_t> &members,
     // All fresh members share one graph; they may span channel
     // layouts. Sort by layout so equal layouts form consecutive
     // replayMany runs (stable, so rate order within a layout is
-    // preserved), then evaluate single-layout sets through the plain
-    // batch and layout-crossing sets through the patch-based sweep:
-    // one schedule, rebound in place between runs. A patched binding
-    // is bit-identical to a fresh compile of its layout, so each
-    // result matches evaluateUncached on that point either way.
+    // preserved), then replay them as one batch from the experiment's
+    // layout cache, which fills uncached layouts by rebinding one
+    // schedule in place. A patched binding is bit-identical to a
+    // fresh compile of its layout, so each result matches
+    // evaluateUncached on that point.
     const TunePoint p0 = sp.at(pts[fresh[0]]);
     const std::shared_ptr<const HksExperiment> exp =
         runner.experiment(par, p0.dataflow, sp.memoryConfig(p0));
@@ -212,30 +211,25 @@ Tuner::evaluateBatch(const std::vector<std::size_t> &members,
         });
     std::vector<RpuConfig> cfgs;
     cfgs.reserve(fresh.size());
-    bool multi_layout = false;
-    for (std::size_t i : fresh) {
+    for (std::size_t i : fresh)
         cfgs.push_back(sp.chipConfig(sp.at(pts[i])));
-        if (!(RpuLayout::of(cfgs.back()) ==
-              RpuLayout::of(cfgs.front())))
-            multi_layout = true;
-    }
     std::vector<double> runtimes(fresh.size());
-    if (multi_layout) {
-        LayoutSweep sweep;
-        exp->simulateRuntimeMany(cfgs.data(), cfgs.size(),
-                                 runtimes.data(), sweep);
-        cache.notePatched(sweep.patchedEvals);
-        cache.noteBatchLanes(sweep.batchedPoints, sweep.laneSlots);
-    } else {
-        exp->simulateRuntimeMany(cfgs.data(), cfgs.size(),
-                                 runtimes.data());
-        // The plain batch path walks ceil(n / kBatchLanes) blocks of
-        // kBatchLanes slots each; record the dispatch so occupancy
-        // covers both batch routes.
-        cache.noteBatchLanes(cfgs.size(),
-                             (cfgs.size() + sim::kBatchLanes - 1) /
-                                 sim::kBatchLanes * sim::kBatchLanes);
+    cache.notePatched(exp->simulateRuntimeMany(
+        cfgs.data(), cfgs.size(), runtimes.data()));
+    // Lane occupancy per layout run; runs replayed point by point
+    // provision no slots and count in neither total.
+    std::size_t batched = 0, slots = 0;
+    for (std::size_t a = 0, b; a < cfgs.size(); a = b) {
+        b = a + 1;
+        while (b < cfgs.size() &&
+               RpuLayout::of(cfgs[b]) == RpuLayout::of(cfgs[a]))
+            ++b;
+        const std::size_t run_slots = HksExperiment::batchLaneSlots(b - a);
+        if (run_slots > 0)
+            batched += b - a;
+        slots += run_slots;
     }
+    cache.noteBatchLanes(batched, slots);
     for (std::size_t j = 0; j < fresh.size(); ++j) {
         const std::size_t i = fresh[j];
         const TunePoint p = sp.at(pts[i]);

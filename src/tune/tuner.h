@@ -178,13 +178,14 @@ class Tuner
      * the task graph (benchmark, dataflow, capacity, evk residency);
      * each group is dispatched as ONE pool job that orders its
      * members by channel layout and replays them in kBatchLanes-wide
-     * blocks (HksExperiment::simulateRuntimeMany). Members differing
-     * in the channel axes ride the incremental patch path: one
-     * patchable schedule rebound in place between layouts
-     * (recompileChannels) instead of one compile per layout, counted
-     * by patchedEvals(). Multi-chip points fall back to scalar
-     * per-point jobs — their partitions change the compiled layout
-     * point by point. Batched, patched, and scalar evaluations are
+     * blocks (HksExperiment::simulateRuntimeMany), each layout run
+     * from the experiment's layout cache. Layouts first reached by
+     * the batch are filled by the incremental patch path — one
+     * schedule rebound in place per channel layout (recompileChannels)
+     * instead of one compile each; points replayed on such a rebound
+     * schedule are counted by patchedEvals(). Multi-chip points fall
+     * back to scalar per-point jobs — their partitions change the
+     * compiled layout point by point. Batched, patched, and scalar evaluations are
      * bit-identical, so strategies and cache contents are unaffected
      * by the grouping.
      */
@@ -203,9 +204,10 @@ class Tuner
     /** Cache hits since construction. */
     std::size_t cacheHits() const { return cache.hits(); }
     /**
-     * Evaluations served through the incremental patch path (layout
-     * sweeps replaying a rebound schedule) since construction — how
-     * much of the search ran without a fresh compile.
+     * Fresh batch points replayed on a schedule the incremental patch
+     * path produced (patchRevision() > 0) since construction — how
+     * much of the search ran on layouts that never compiled from the
+     * graph.
      */
     std::size_t patchedEvals() const { return cache.patchedEvals(); }
 
@@ -226,7 +228,7 @@ class Tuner
 
     /**
      * Evaluate the points pts[i] for i in `members` — all single-chip
-     * on one (graph, compiled layout), differing only in rate knobs —
+     * on one graph, differing in rate and channel-layout knobs —
      * through the cache, replaying every fresh member as one batch.
      * Writes res[i]; runs inside one pool job.
      */

@@ -579,16 +579,65 @@ TEST(BatchedReplay, BandwidthOverloadMatchesScalarSweep)
         EXPECT_EQ(batched[i], exp.simulateRuntime(grid[i], 2.0));
 }
 
-TEST(BatchedReplay, RejectsMixedLayoutsInOneBatch)
+// One batch may cross layouts: channel-layout runs, an interleaved
+// one-point-per-layout order and a split-pipe point all replay from the
+// experiment's layout cache, bit-identical to scalar evaluation on an
+// experiment whose cache was filled one point at a time.
+TEST(BatchedReplay, MixedLayoutBatchMatchesScalar)
 {
-    const HksParams &b = benchmarkByName("BTS1");
-    HksExperiment exp(b, Dataflow::OC, MemoryConfig{32ull << 20, true});
-    std::vector<RpuConfig> cfgs(2);
-    cfgs[1].memChannels = 4; // layout-changing knob
-    std::vector<double> out(2);
-    EXPECT_DEATH(
-        exp.simulateRuntimeMany(cfgs.data(), cfgs.size(), out.data()),
-        "share one compiled layout");
+    const HksParams &par = benchmarkByName("BTS1");
+    const MemoryConfig mem{32ull << 20, false};
+    const HksExperiment exp(par, Dataflow::OC, mem);
+    const HksExperiment ref(par, Dataflow::OC, mem);
+    auto point = [&mem](std::size_t ch, ChannelPolicy pol, double bw) {
+        RpuConfig cfg;
+        cfg.dataMemBytes = mem.dataCapacityBytes;
+        cfg.evkOnChip = mem.evkOnChip;
+        cfg.memChannels = ch;
+        cfg.channelPolicy = pol;
+        cfg.bandwidthGBps = bw;
+        return cfg;
+    };
+    auto expectScalar = [&](const std::vector<RpuConfig> &cfgs,
+                            std::size_t patched) {
+        std::vector<double> out(cfgs.size());
+        EXPECT_EQ(exp.simulateRuntimeMany(cfgs.data(), cfgs.size(),
+                                          out.data()),
+                  patched);
+        for (std::size_t i = 0; i < cfgs.size(); ++i)
+            EXPECT_EQ(out[i], ref.simulateRuntime(cfgs[i])) << i;
+    };
+
+    // Layout-sorted runs long enough to fill lane blocks, then one
+    // split-pipe point. The default layout (1 channel, interleave) is
+    // compiled at construction; the fill compiles the next layout and
+    // rebinds the other four channel layouts from it (5 points each),
+    // while the split point reshapes the skeleton and compiles afresh.
+    std::vector<RpuConfig> sorted;
+    for (std::size_t ch : {1, 2, 4})
+        for (ChannelPolicy pol :
+             {ChannelPolicy::Interleave, ChannelPolicy::LeastLoaded})
+            for (double bw : {32.0, 64.0, 128.0, 256.0, 512.0})
+                sorted.push_back(point(ch, pol, bw));
+    RpuConfig split = point(2, ChannelPolicy::EvkDedicated, 96.0);
+    split.splitComputePipes = true;
+    sorted.push_back(split);
+    expectScalar(sorted, 20);
+
+    // One point per layout, interleaved: every run has length one and
+    // every layout is already cached (and patched).
+    std::vector<RpuConfig> alt;
+    for (double bw : {32.0, 64.0, 128.0})
+        for (std::size_t ch : {2, 4})
+            alt.push_back(point(ch, ChannelPolicy::Interleave, bw));
+    expectScalar(alt, 6);
+
+    // A fresh experiment filled by one interleaved batch agrees too.
+    const HksExperiment cold(par, Dataflow::OC, mem);
+    std::vector<double> out(alt.size());
+    cold.simulateRuntimeMany(alt.data(), alt.size(), out.data());
+    for (std::size_t i = 0; i < alt.size(); ++i)
+        EXPECT_EQ(out[i], ref.simulateRuntime(alt[i])) << i;
 }
 
 // --- compiled vs rebuild on the paper experiments --------------------

@@ -159,57 +159,6 @@ TEST(Patch, ChannelRepatchMatchesFreshCompileOnRandomDags)
     }
 }
 
-// The layout-crossing sweep entry point: patched runtimes must equal
-// scalar evaluation at every point, long same-layout runs ride the
-// replayMany lanes, and the sweep counters report the patches.
-TEST(Patch, LayoutSweepMatchesScalarAcrossLanes)
-{
-    const HksParams &par = benchmarkByName("BTS1");
-    const MemoryConfig mem{32ull << 20, false};
-    const HksExperiment exp(par, Dataflow::OC, mem);
-
-    std::vector<RpuConfig> cfgs;
-    for (std::size_t ch : {1, 2, 4})
-        for (ChannelPolicy pol :
-             {ChannelPolicy::Interleave, ChannelPolicy::LeastLoaded})
-            for (double bw : {32.0, 64.0, 128.0, 256.0, 512.0}) {
-                RpuConfig cfg;
-                cfg.dataMemBytes = mem.dataCapacityBytes;
-                cfg.evkOnChip = mem.evkOnChip;
-                cfg.memChannels = ch;
-                cfg.channelPolicy = pol;
-                cfg.bandwidthGBps = bw;
-                cfgs.push_back(cfg);
-            }
-
-    LayoutSweep sweep;
-    std::vector<double> out(cfgs.size());
-    exp.simulateRuntimeMany(cfgs.data(), cfgs.size(), out.data(),
-                            sweep);
-    for (std::size_t i = 0; i < cfgs.size(); ++i)
-        EXPECT_EQ(out[i], exp.simulateRuntime(cfgs[i])) << i;
-    EXPECT_EQ(sweep.patches, 5u); // 6 layouts, first is the compile
-    EXPECT_EQ(sweep.patchedEvals, 25u); // 5 per patched layout
-
-    // Short runs (below the lane threshold) replay scalar; exercise
-    // that path too by interleaving layouts point by point.
-    std::vector<RpuConfig> alt;
-    for (double bw : {32.0, 64.0, 128.0})
-        for (std::size_t ch : {2, 4}) {
-            RpuConfig cfg;
-            cfg.dataMemBytes = mem.dataCapacityBytes;
-            cfg.evkOnChip = mem.evkOnChip;
-            cfg.memChannels = ch;
-            cfg.bandwidthGBps = bw;
-            alt.push_back(cfg);
-        }
-    std::vector<double> alt_out(alt.size());
-    exp.simulateRuntimeMany(alt.data(), alt.size(), alt_out.data(),
-                            sweep);
-    for (std::size_t i = 0; i < alt.size(); ++i)
-        EXPECT_EQ(alt_out[i], exp.simulateRuntime(alt[i])) << i;
-}
-
 // A sequence of single-task partition moves, each applied with
 // recompilePartition, must equal a from-scratch compile of the final
 // partition — runtime, per-resource busy/jobs, and transfer counts.
@@ -338,7 +287,8 @@ TEST(PatchDeathTest, SkeletonChangesAreRejected)
 
 // The tuner's layout-adjacent grouping must be invisible in results:
 // batch-evaluated points equal one-point-at-a-time evaluation on a
-// fresh tuner, and the patch path actually carried evaluations.
+// fresh tuner over fresh experiments (whose layouts each compile from
+// the graph), and the patch path actually carried evaluations.
 TEST(Patch, TunerPatchPathIsBitIdenticalAndCounted)
 {
     const HksParams &par = benchmarkByName("BTS1");
@@ -349,9 +299,10 @@ TEST(Patch, TunerPatchPathIsBitIdenticalAndCounted)
     EXPECT_GT(batched.patchedEvals(), 0u);
 
     // Spot-check a sample of evaluated points against a fresh tuner
-    // evaluating them one at a time (single-point batches never take
-    // the patch path).
-    tune::Tuner scalar(runner, par, tune::paperJointSpace(par));
+    // evaluating them one at a time (scalar evaluations are not batch
+    // points, so they never count as patched).
+    ExperimentRunner fresh;
+    tune::Tuner scalar(fresh, par, tune::paperJointSpace(par));
     for (std::size_t i = 0; i < ex.evaluated.size(); i += 37) {
         const tune::Measurement m = scalar.evaluate(ex.evaluated[i].idx);
         EXPECT_EQ(m.runtime, ex.evaluated[i].m.runtime) << i;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <vector>
 
 #include "rpu/runner.h"
 
@@ -117,6 +119,66 @@ TEST(Runner, SweepRuntimesMatchesPerPointPathExactly)
     const std::vector<double> rts = runner.sweepRuntimes(*exp, bws);
     for (std::size_t i = 0; i < bws.size(); ++i)
         EXPECT_EQ(rts[i], exp->simulateRuntime(bws[i]));
+}
+
+TEST(Runner, ConcurrentLayoutFillsMatchScalar)
+{
+    // Pool jobs fill overlapping uncached layouts of one shared
+    // experiment at the same time — batched fills of different layout
+    // subsets racing scalar misses — and every result must equal
+    // scalar evaluation on an experiment filled serially.
+    const HksParams &b = benchmarkByName("BTS1");
+    const MemoryConfig mem{32ull << 20, false};
+    ExperimentRunner runner(4);
+    auto exp = runner.experiment(b, Dataflow::DC, mem);
+    const HksExperiment ref(b, Dataflow::DC, mem);
+
+    std::vector<RpuConfig> layouts;
+    for (std::size_t ch : {1, 2, 3, 4, 8})
+        for (ChannelPolicy pol :
+             {ChannelPolicy::Interleave, ChannelPolicy::EvkDedicated,
+              ChannelPolicy::LeastLoaded}) {
+            RpuConfig cfg;
+            cfg.memChannels = ch;
+            cfg.channelPolicy = pol;
+            cfg.splitComputePipes = ch == 3;
+            layouts.push_back(cfg);
+        }
+
+    constexpr std::size_t kJobs = 8;
+    std::vector<std::vector<RpuConfig>> batches(kJobs);
+    std::vector<std::vector<double>> outs(kJobs);
+    for (std::size_t j = 0; j < kJobs; ++j) {
+        // Job j takes a window of layouts starting at a job-specific
+        // offset, two bandwidths each, so every layout is wanted by
+        // several jobs.
+        for (std::size_t k = 0; k < layouts.size() / 2; ++k)
+            for (double bw : {48.0 + 8.0 * j, 300.0}) {
+                RpuConfig cfg =
+                    layouts[(3 * j + k) % layouts.size()];
+                cfg.bandwidthGBps = bw;
+                batches[j].push_back(cfg);
+            }
+        outs[j].resize(batches[j].size());
+    }
+    std::vector<std::function<void()>> jobs;
+    for (std::size_t j = 0; j < kJobs; ++j)
+        jobs.push_back([&, j] {
+            if (j % 3 == 2) {
+                for (std::size_t i = 0; i < batches[j].size(); ++i)
+                    outs[j][i] = exp->simulateRuntime(batches[j][i]);
+            } else {
+                exp->simulateRuntimeMany(batches[j].data(),
+                                         batches[j].size(),
+                                         outs[j].data());
+            }
+        });
+    runner.runAll(jobs);
+
+    for (std::size_t j = 0; j < kJobs; ++j)
+        for (std::size_t i = 0; i < batches[j].size(); ++i)
+            EXPECT_EQ(outs[j][i], ref.simulateRuntime(batches[j][i]))
+                << "job " << j << " point " << i;
 }
 
 TEST(Runner, BandwidthSweepKeepsPointOrder)
