@@ -579,65 +579,68 @@ TEST(BatchedReplay, BandwidthOverloadMatchesScalarSweep)
         EXPECT_EQ(batched[i], exp.simulateRuntime(grid[i], 2.0));
 }
 
-// One batch may cross layouts: channel-layout runs, an interleaved
-// one-point-per-layout order and a split-pipe point all replay from the
-// experiment's layout cache, bit-identical to scalar evaluation on an
-// experiment whose cache was filled one point at a time.
+// A compiled schedule binds one layout, so its lane kernel rejects a
+// batch whose points were built for another layout (here 4 channels
+// against the default 1). Mixed-layout batches go through
+// HksExperiment::simulateRuntimeMany, which splits them into
+// same-layout runs.
+TEST(BatchedReplay, RejectsMixedLayoutsInOneBatch)
+{
+    const HksParams &b = benchmarkByName("BTS1");
+    const MemoryConfig mem{32ull << 20, true};
+    HksExperiment exp(b, Dataflow::OC, mem);
+    std::vector<RpuConfig> cfgs(2);
+    for (RpuConfig &cfg : cfgs) {
+        cfg.dataMemBytes = mem.dataCapacityBytes;
+        cfg.evkOnChip = mem.evkOnChip;
+    }
+    cfgs[1].memChannels = 4; // layout-changing knob
+    const sim::CompiledSchedule four =
+        RpuEngine(cfgs[1]).compile(exp.graph());
+    std::vector<sim::ReplayRates> pts(2);
+    RpuEngine(cfgs[0]).rates(exp.compiled(), pts[0]);
+    RpuEngine(cfgs[1]).rates(four, pts[1]);
+    sim::BatchScratch batch;
+    EXPECT_DEATH(exp.compiled().replayMany(pts.data(), pts.size(), batch),
+                 "different resource count");
+
+    std::vector<double> out(2);
+    exp.simulateRuntimeMany(cfgs.data(), cfgs.size(), out.data());
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        EXPECT_EQ(out[i], exp.simulateRuntime(cfgs[i])) << i;
+}
+
+// One batch may cross every layout axis: an interleaved
+// one-point-per-layout order over channel layouts with a split-pipe
+// point among them fills a cold experiment's layout cache in one step
+// and replays bit-identical to scalar evaluation on an experiment
+// whose cache was filled one point at a time. The layout-sorted
+// channel sweep is Patch.LayoutSweepMatchesScalarAcrossLanes.
 TEST(BatchedReplay, MixedLayoutBatchMatchesScalar)
 {
     const HksParams &par = benchmarkByName("BTS1");
     const MemoryConfig mem{32ull << 20, false};
     const HksExperiment exp(par, Dataflow::OC, mem);
     const HksExperiment ref(par, Dataflow::OC, mem);
-    auto point = [&mem](std::size_t ch, ChannelPolicy pol, double bw) {
-        RpuConfig cfg;
-        cfg.dataMemBytes = mem.dataCapacityBytes;
-        cfg.evkOnChip = mem.evkOnChip;
-        cfg.memChannels = ch;
-        cfg.channelPolicy = pol;
-        cfg.bandwidthGBps = bw;
-        return cfg;
-    };
-    auto expectScalar = [&](const std::vector<RpuConfig> &cfgs,
-                            std::size_t patched) {
-        std::vector<double> out(cfgs.size());
-        EXPECT_EQ(exp.simulateRuntimeMany(cfgs.data(), cfgs.size(),
-                                          out.data()),
-                  patched);
-        for (std::size_t i = 0; i < cfgs.size(); ++i)
-            EXPECT_EQ(out[i], ref.simulateRuntime(cfgs[i])) << i;
-    };
-
-    // Layout-sorted runs long enough to fill lane blocks, then one
-    // split-pipe point. The default layout (1 channel, interleave) is
-    // compiled at construction; the fill compiles the next layout and
-    // rebinds the other four channel layouts from it (5 points each),
-    // while the split point reshapes the skeleton and compiles afresh.
-    std::vector<RpuConfig> sorted;
-    for (std::size_t ch : {1, 2, 4})
-        for (ChannelPolicy pol :
-             {ChannelPolicy::Interleave, ChannelPolicy::LeastLoaded})
-            for (double bw : {32.0, 64.0, 128.0, 256.0, 512.0})
-                sorted.push_back(point(ch, pol, bw));
-    RpuConfig split = point(2, ChannelPolicy::EvkDedicated, 96.0);
-    split.splitComputePipes = true;
-    sorted.push_back(split);
-    expectScalar(sorted, 20);
-
-    // One point per layout, interleaved: every run has length one and
-    // every layout is already cached (and patched).
-    std::vector<RpuConfig> alt;
+    std::vector<RpuConfig> cfgs;
     for (double bw : {32.0, 64.0, 128.0})
-        for (std::size_t ch : {2, 4})
-            alt.push_back(point(ch, ChannelPolicy::Interleave, bw));
-    expectScalar(alt, 6);
+        for (std::size_t ch : {1, 2, 4}) {
+            RpuConfig cfg;
+            cfg.dataMemBytes = mem.dataCapacityBytes;
+            cfg.evkOnChip = mem.evkOnChip;
+            cfg.memChannels = ch;
+            cfg.bandwidthGBps = bw;
+            cfgs.push_back(cfg);
+        }
+    // The split point reshapes the skeleton, so the fill compiles it
+    // afresh instead of rebinding it.
+    cfgs[4].channelPolicy = ChannelPolicy::EvkDedicated;
+    cfgs[4].splitComputePipes = true;
 
-    // A fresh experiment filled by one interleaved batch agrees too.
-    const HksExperiment cold(par, Dataflow::OC, mem);
-    std::vector<double> out(alt.size());
-    cold.simulateRuntimeMany(alt.data(), alt.size(), out.data());
-    for (std::size_t i = 0; i < alt.size(); ++i)
-        EXPECT_EQ(out[i], ref.simulateRuntime(alt[i])) << i;
+    std::vector<double> out(cfgs.size());
+    exp.simulateRuntimeMany(cfgs.data(), cfgs.size(), out.data());
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        EXPECT_EQ(out[i], ref.simulateRuntime(cfgs[i])) << i;
 }
 
 // --- compiled vs rebuild on the paper experiments --------------------

@@ -159,6 +159,63 @@ TEST(Patch, ChannelRepatchMatchesFreshCompileOnRandomDags)
     }
 }
 
+// The layout-crossing sweep: a layout-sorted batch over 6 channel
+// layouts x 5 bandwidths replays from the experiment's layout cache,
+// long same-layout runs riding the replayMany lanes, bit-identical to
+// scalar evaluation, and reports the points that ran on a rebound
+// schedule.
+TEST(Patch, LayoutSweepMatchesScalarAcrossLanes)
+{
+    const HksParams &par = benchmarkByName("BTS1");
+    const MemoryConfig mem{32ull << 20, false};
+    const HksExperiment exp(par, Dataflow::OC, mem);
+    const HksExperiment ref(par, Dataflow::OC, mem);
+
+    std::vector<RpuConfig> cfgs;
+    for (std::size_t ch : {1, 2, 4})
+        for (ChannelPolicy pol :
+             {ChannelPolicy::Interleave, ChannelPolicy::LeastLoaded})
+            for (double bw : {32.0, 64.0, 128.0, 256.0, 512.0}) {
+                RpuConfig cfg;
+                cfg.dataMemBytes = mem.dataCapacityBytes;
+                cfg.evkOnChip = mem.evkOnChip;
+                cfg.memChannels = ch;
+                cfg.channelPolicy = pol;
+                cfg.bandwidthGBps = bw;
+                cfgs.push_back(cfg);
+            }
+
+    // The default layout (1 channel, interleave) is compiled at
+    // construction; the fill compiles the next layout and rebinds the
+    // other four from it, 5 points each.
+    std::vector<double> out(cfgs.size());
+    EXPECT_EQ(exp.simulateRuntimeMany(cfgs.data(), cfgs.size(),
+                                      out.data()),
+              20u);
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        EXPECT_EQ(out[i], ref.simulateRuntime(cfgs[i])) << i;
+
+    // Short runs (below the lane threshold) replay scalar; exercise
+    // that path too by interleaving cached, rebound layouts point by
+    // point.
+    std::vector<RpuConfig> alt;
+    for (double bw : {32.0, 64.0, 128.0})
+        for (std::size_t ch : {2, 4}) {
+            RpuConfig cfg;
+            cfg.dataMemBytes = mem.dataCapacityBytes;
+            cfg.evkOnChip = mem.evkOnChip;
+            cfg.memChannels = ch;
+            cfg.bandwidthGBps = bw;
+            alt.push_back(cfg);
+        }
+    std::vector<double> alt_out(alt.size());
+    EXPECT_EQ(exp.simulateRuntimeMany(alt.data(), alt.size(),
+                                      alt_out.data()),
+              6u);
+    for (std::size_t i = 0; i < alt.size(); ++i)
+        EXPECT_EQ(alt_out[i], ref.simulateRuntime(alt[i])) << i;
+}
+
 // A sequence of single-task partition moves, each applied with
 // recompilePartition, must equal a from-scratch compile of the final
 // partition — runtime, per-resource busy/jobs, and transfer counts.
