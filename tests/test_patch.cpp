@@ -218,42 +218,62 @@ TEST(Patch, LayoutSweepMatchesScalarAcrossLanes)
 
 // A sequence of single-task partition moves, each applied with
 // recompilePartition, must equal a from-scratch compile of the final
-// partition — runtime, per-resource busy/jobs, and transfer counts.
+// partition — runtime, per-resource busy/jobs, and transfer counts —
+// on the default one-channel chip and on every multi-channel layout
+// (2-4 channels x every policy x both pipe splits), where each
+// shard's channel placement must follow its new task sequence.
 TEST(Patch, ShardMoveSequenceMatchesFromScratchCompile)
 {
     const HksParams &par = benchmarkByName("BTS1");
     const MemoryConfig mem{32ull << 20, false};
     const TaskGraph g = buildHksGraph(par, Dataflow::OC, mem);
 
-    RpuConfig chip;
-    chip.dataMemBytes = mem.dataCapacityBytes;
-    chip.evkOnChip = mem.evkOnChip;
+    RpuConfig base;
+    base.dataMemBytes = mem.dataCapacityBytes;
+    base.evkOnChip = mem.evkOnChip;
+    std::vector<RpuConfig> chips = {base};
+    for (std::size_t ch : {2, 3, 4})
+        for (ChannelPolicy pol : allPolicies())
+            for (bool split : {false, true}) {
+                RpuConfig c = base;
+                c.memChannels = ch;
+                c.channelPolicy = pol;
+                c.splitComputePipes = split;
+                chips.push_back(c);
+            }
+
     const shard::InterconnectConfig net;
     const std::size_t k = 4;
     const shard::ShardSpec spec = shard::placementShardSpec(
         par, k, shard::PartitionStrategy::MinCutGreedy, 0.10);
-    const std::vector<double> w = shard::taskWeights(g, chip);
-
-    const shard::ShardedEngine seng(chip, net);
-    shard::Partition cur = shard::partitionGraph(g, spec, w);
-    shard::ShardedPatchable ps = seng.compilePatchable(g, cur);
-    expectShardStatsEqual(seng.replay(ps.compiled),
-                          seng.replay(seng.compile(g, cur)));
-
-    std::mt19937 rng(7);
-    std::uniform_int_distribution<std::size_t> pick(0, g.size() - 1);
-    std::uniform_int_distribution<std::uint32_t> to(
-        0, static_cast<std::uint32_t>(k - 1));
-    for (int move = 0; move < 6; ++move) {
-        std::vector<std::uint32_t> assign = cur.shardOf;
-        assign[pick(rng)] = to(rng);
-        cur = shard::assignmentPartition(g, spec, std::move(assign),
-                                         w);
-        seng.recompilePartition(ps, cur);
+    for (const RpuConfig &chip : chips) {
+        SCOPED_TRACE(::testing::Message()
+                     << chip.memChannels << " channels, policy "
+                     << static_cast<int>(chip.channelPolicy)
+                     << (chip.splitComputePipes ? ", split" : ", fused"));
+        const std::vector<double> w = shard::taskWeights(g, chip);
+        const shard::ShardedEngine seng(chip, net);
+        shard::Partition cur = shard::partitionGraph(g, spec, w);
+        shard::ShardedPatchable ps = seng.compilePatchable(g, cur);
         expectShardStatsEqual(seng.replay(ps.compiled),
                               seng.replay(seng.compile(g, cur)));
+
+        std::mt19937 rng(7);
+        std::uniform_int_distribution<std::size_t> pick(0,
+                                                        g.size() - 1);
+        std::uniform_int_distribution<std::uint32_t> to(
+            0, static_cast<std::uint32_t>(k - 1));
+        for (int move = 0; move < 6; ++move) {
+            std::vector<std::uint32_t> assign = cur.shardOf;
+            assign[pick(rng)] = to(rng);
+            cur = shard::assignmentPartition(g, spec, std::move(assign),
+                                             w);
+            seng.recompilePartition(ps, cur);
+            expectShardStatsEqual(seng.replay(ps.compiled),
+                                  seng.replay(seng.compile(g, cur)));
+        }
+        EXPECT_GT(ps.compiled.schedule.patchRevision(), 0u);
     }
-    EXPECT_GT(ps.compiled.schedule.patchRevision(), 0u);
 }
 
 // Patched bindings carry a revision-mixed layoutTag: distinct from
