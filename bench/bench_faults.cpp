@@ -13,7 +13,8 @@
  *  2. Failover cost: re-placing a dead chip's work through the
  *     planFailover + recompilePartition patch path versus the full
  *     recompile-and-replace procedure (taskWeights + partitionGraph
- *     with refinement + compilePatchable). CI gates
+ *     with refinement + compilePatchable), as medians of alternating
+ *     passes (failover_*_ms with _min and _iqr). CI gates
  *     .failover_speedup >= 3.
  *
  *  3. Monte Carlo survivability: N seeded scenarios per
@@ -92,44 +93,42 @@ struct Row
     McStats st;
 };
 
+/** Alternating passes of the failover-cost pair. */
+constexpr int kFailoverPasses = 101;
+
 /**
  * Failover procedure cost: the patch path (plan + rebind in place)
- * vs recompile-and-replace (re-weigh, re-partition, re-compile).
+ * vs recompile-and-replace (re-weigh, re-partition, re-compile), in
+ * host milliseconds per failover.
  */
 struct FailoverCost
 {
-    double patchPerSec = 0.0;
-    double fullPerSec = 0.0;
+    benchutil::Spread patchMs, fullMs;
 
     double
     speedup() const
     {
-        return fullPerSec > 0.0 ? patchPerSec / fullPerSec : 0.0;
+        return patchMs.median > 0.0 ? fullMs.median / patchMs.median
+                                    : 0.0;
     }
 };
 
 FailoverCost
 measureFailoverCost(const Setup &s)
 {
-    FailoverCost out;
     ShardedEngine eng(s.chip, s.net);
     ShardedPatchable ps = eng.compilePatchable(s.g, s.part);
     const std::vector<std::uint8_t> done(s.g.size(), 0);
     const std::size_t k = s.part.shards;
+    std::vector<char> alive(k, 1);
+    FailoverPlan plan;
 
-    // Patch path: one failover per iteration — plan the re-placement
-    // of a (cycling) dead chip's tasks and rebind the schedule in
-    // place. Cycling the dead shard keeps every rebind's dirty set
-    // realistic (successive bindings genuinely differ).
-    {
-        std::vector<char> alive(k, 1);
-        FailoverPlan plan;
-        std::size_t evals = 0;
-        const Clock::time_point t0 = Clock::now();
-        double elapsed = 0.0;
-        do {
-            const std::uint32_t dead =
-                static_cast<std::uint32_t>(evals % k);
+    // Patch path: one failover per chip per pass — plan the
+    // re-placement of the dead chip's tasks and rebind the schedule
+    // in place. Cycling the dead shard makes successive bindings
+    // genuinely differ.
+    auto patchPass = [&] {
+        for (std::uint32_t dead = 0; dead < k; ++dead) {
             alive.assign(k, 1);
             alive[dead] = 0;
             const sim::Error e =
@@ -141,29 +140,22 @@ measureFailoverCost(const Setup &s)
                 std::exit(1);
             }
             eng.recompilePartition(ps, plan.part);
-            ++evals;
-            elapsed = secondsSince(t0);
-        } while (elapsed < kBudget);
-        out.patchPerSec = static_cast<double>(evals) / elapsed;
-    }
-
+        }
+    };
     // Full recompile-and-replace: what a failover would cost without
     // the patch path — weights, partition (with refinement) and a
     // fresh compile of the surviving placement.
-    {
-        std::size_t evals = 0;
-        const Clock::time_point t0 = Clock::now();
-        double elapsed = 0.0;
-        do {
-            const std::vector<double> w2 = taskWeights(s.g, s.chip);
-            const Partition p2 = partitionGraph(s.g, s.spec, w2);
-            ShardedPatchable fresh = eng.compilePatchable(s.g, p2);
-            ++evals;
-            elapsed = secondsSince(t0);
-        } while (elapsed < kBudget);
-        out.fullPerSec = static_cast<double>(evals) / elapsed;
-    }
-    return out;
+    auto fullPass = [&] {
+        const std::vector<double> w2 = taskWeights(s.g, s.chip);
+        const Partition p2 = partitionGraph(s.g, s.spec, w2);
+        ShardedPatchable fresh = eng.compilePatchable(s.g, p2);
+        (void)fresh;
+    };
+    const auto [patch, full] =
+        benchutil::alternatingSpreads(kFailoverPasses, patchPass,
+                                      fullPass);
+    return {patch.scaled(1e3 / static_cast<double>(k)),
+            full.scaled(1e3)};
 }
 
 /**
@@ -238,10 +230,12 @@ main()
     // 2. Failover procedure cost.
     Setup fo("BTS3", 4, Topology::PointToPoint);
     const FailoverCost cost = measureFailoverCost(fo);
-    std::printf("failover (BTS3, K=4): patch path %.0f/s, full "
-                "recompile-and-replace %.0f/s -> %s cheaper\n\n",
-                cost.patchPerSec, cost.fullPerSec,
-                benchutil::times(cost.speedup()).c_str());
+    std::printf("failover (BTS3, K=4): patch path %.3f ms, full "
+                "recompile-and-replace %.3f ms -> %s cheaper (medians "
+                "of %d alternating passes)\n\n",
+                cost.patchMs.median, cost.fullMs.median,
+                benchutil::times(cost.speedup()).c_str(),
+                kFailoverPasses);
 
     // 3. Monte Carlo survivability per (K, topology).
     std::vector<Row> rows;
@@ -324,8 +318,10 @@ main()
         w.field("bench", "faults");
         w.field("zero_fault_identical", zero_fault_identical);
         w.field("failover_speedup", cost.speedup());
-        w.field("failover_patch_per_sec", cost.patchPerSec);
-        w.field("failover_full_per_sec", cost.fullPerSec);
+        w.field("failover_patch_per_sec", 1e3 / cost.patchMs.median);
+        w.field("failover_full_per_sec", 1e3 / cost.fullMs.median);
+        benchutil::spreadFields(w, "failover_patch_ms", cost.patchMs);
+        benchutil::spreadFields(w, "failover_full_ms", cost.fullMs);
         w.field("static_batch_speedup", static_batch_speedup);
         w.field("scenarios_per_point", mc.scenarios);
         w.beginArray("rows");

@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/stats.h"
 #include "fault/fault_trace.h"
 #include "obs/chrome_trace.h"
 #include "serve/fault_serving.h"
@@ -428,14 +427,10 @@ main()
         hostUsPerJob.push_back(sec * 1e6 /
                                static_cast<double>(farr.size()));
     }
-    std::sort(hostUsPerJob.begin(), hostUsPerJob.end());
-    const double hostUsMedian = stats::percentileSorted(hostUsPerJob, 0.5);
-    const double hostUsIqr = stats::percentileSorted(hostUsPerJob, 0.75) -
-                             stats::percentileSorted(hostUsPerJob, 0.25);
+    const benchutil::Spread hostUs = benchutil::spreadOf(hostUsPerJob);
     std::printf("fault-serving host time: %.2f us per job (median of "
                 "%d untraced runs; min %.2f, IQR %.2f) | timed runs %s\n",
-                hostUsMedian, kFaultTimedRuns, hostUsPerJob.front(),
-                hostUsIqr,
+                hostUs.median, kFaultTimedRuns, hostUs.min, hostUs.iqr,
                 fault_timed_identical ? "bit-identical to the traced run"
                                       : "DIVERGED");
 
@@ -479,9 +474,8 @@ main()
                 static_cast<std::uint64_t>(faultSt.degradedJobs));
         w.field("healthy_p99_ms", faultSt.healthyP99Sec * 1e3);
         w.field("degraded_p99_ms", faultSt.degradedP99Sec * 1e3);
-        w.field("fault_serving_host_us_per_job", hostUsMedian);
-        w.field("fault_serving_host_us_per_job_min", hostUsPerJob.front());
-        w.field("fault_serving_host_us_per_job_iqr", hostUsIqr);
+        benchutil::spreadFields(w, "fault_serving_host_us_per_job",
+                                hostUs);
         w.field("fault_serving_host_runs",
                 static_cast<std::uint64_t>(kFaultTimedRuns));
         w.field("fault_timed_identical", fault_timed_identical);

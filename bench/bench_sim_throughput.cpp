@@ -23,8 +23,10 @@
  * RpuEngine::compile, and rebinding a 4-shard schedule after a
  * one-task partition move (recompilePartition) vs a from-scratch
  * ShardedEngine::compile — after asserting the patched schedules
- * replay bit-identically to fresh compiles of the same target. CI
- * gates patchSpeedup (compile_ms / channel_repatch_ms) >= 5x.
+ * replay bit-identically to fresh compiles of the same target. Each
+ * pair is timed over kPatchPasses alternating passes; every *_ms
+ * field is the median per operation, with _min and _iqr beside it.
+ * CI gates patchSpeedup (compile_ms / channel_repatch_ms) >= 5x.
  *
  * The traced-replay section measures the opt-in observer
  * (obs::replayTraced) against the plain replay over the same
@@ -50,7 +52,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/stats.h"
 #include "obs/traced_replay.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
@@ -64,6 +65,9 @@ using Clock = std::chrono::steady_clock;
 
 /** Timed buildHksGraph calls per row (median/min/IQR are taken). */
 constexpr int kBuildTimedRuns = 31;
+
+/** Alternating passes per compile-vs-rebind pair. */
+constexpr int kPatchPasses = 101;
 
 double
 secondsSince(Clock::time_point t0)
@@ -147,14 +151,11 @@ struct Row
     PathTiming rebuild, compiled, replayOnly, batched;
     /** Plain replay and traced replay over precomputed rate points. */
     PathTiming tracedPlain, traced;
-    double compileMs = 0.0;
-    /** buildHksGraph host time per task: median, minimum, IQR. */
-    double buildUsPerTask = 0.0;
-    double buildUsPerTaskMin = 0.0;
-    double buildUsPerTaskIqr = 0.0;
-    double channelRepatchMs = 0.0;
-    double shardCompileMs = 0.0;
-    double shardMoveRepatchMs = 0.0;
+    /** buildHksGraph host time per task, in microseconds. */
+    benchutil::Spread buildUsPerTask;
+    /** Host time per compile or rebind, in milliseconds. */
+    benchutil::Spread compileMs, channelRepatchMs;
+    benchutil::Spread shardCompileMs, shardMoveRepatchMs;
     /** Per-op records one traced replay of this schedule appends. */
     std::size_t traceOps = 0;
     bool identical = true;
@@ -175,13 +176,13 @@ struct Row
     double
     patchSpeedup() const
     {
-        return compileMs / channelRepatchMs;
+        return compileMs.median / channelRepatchMs.median;
     }
 
     double
     shardMoveSpeedup() const
     {
-        return shardCompileMs / shardMoveRepatchMs;
+        return shardCompileMs.median / shardMoveRepatchMs.median;
     }
 
     /** How much slower a traced replay is than a plain one. */
@@ -265,27 +266,7 @@ main()
                 }
                 us.push_back(sec * 1e6 / static_cast<double>(g.size()));
             }
-            std::sort(us.begin(), us.end());
-            row.buildUsPerTask = stats::percentileSorted(us, 0.5);
-            row.buildUsPerTaskMin = us.front();
-            row.buildUsPerTaskIqr = stats::percentileSorted(us, 0.75) -
-                                    stats::percentileSorted(us, 0.25);
-        }
-
-        // One-off compile cost the replay paths amortize (also the
-        // payoff of CompiledSchedule::reserve's bulk build).
-        {
-            RpuConfig cfg;
-            cfg.dataMemBytes = mem.dataCapacityBytes;
-            cfg.evkOnChip = mem.evkOnChip;
-            const RpuEngine eng(cfg);
-            const int reps = 20;
-            const Clock::time_point t0 = Clock::now();
-            for (int i = 0; i < reps; ++i) {
-                sim::CompiledSchedule cs = eng.compile(exp.graph());
-                (void)cs;
-            }
-            row.compileMs = secondsSince(t0) * 1e3 / reps;
+            row.buildUsPerTask = benchutil::spreadOf(us);
         }
 
         row.rebuild = timeLoop(bws, kBudget, [&](double bw) {
@@ -365,7 +346,9 @@ main()
         }
 
         // patch_vs_recompile 1: rebind to a new channel layout in
-        // place vs one fresh compile per layout. Alternate two layouts
+        // place vs the one-off compile the replay paths amortize
+        // (also the payoff of CompiledSchedule::reserve's bulk
+        // build). Each rebind pass moves to a second layout and back,
         // the way a tuner's channel-axis sweep does, after asserting
         // the patched binding replays bit-identically to a fresh
         // compile of the same target layout.
@@ -393,12 +376,22 @@ main()
                 row.identical = false;
             }
 
-            const int reps = 40;
-            const Clock::time_point t0 = Clock::now();
-            for (int i = 0; i < reps; ++i)
-                RpuEngine(i % 2 == 0 ? cfgA : cfgB)
-                    .recompileChannels(ps);
-            row.channelRepatchMs = secondsSince(t0) * 1e3 / reps;
+            RpuConfig cfg;
+            cfg.dataMemBytes = mem.dataCapacityBytes;
+            cfg.evkOnChip = mem.evkOnChip;
+            const RpuEngine eng(cfg);
+            const auto [compile, repatch] = benchutil::alternatingSpreads(
+                kPatchPasses,
+                [&] {
+                    sim::CompiledSchedule cs = eng.compile(exp.graph());
+                    (void)cs;
+                },
+                [&] {
+                    RpuEngine(cfgA).recompileChannels(ps);
+                    RpuEngine(cfgB).recompileChannels(ps);
+                });
+            row.compileMs = compile.scaled(1e3);
+            row.channelRepatchMs = repatch.scaled(1e3 / 2);
         }
 
         // patch_vs_recompile 2: rebind a 4-shard schedule after a
@@ -437,24 +430,19 @@ main()
                 row.identical = false;
             }
 
-            {
-                const int reps = 10;
-                const Clock::time_point t0 = Clock::now();
-                for (int i = 0; i < reps; ++i) {
+            const auto [compile, repatch] = benchutil::alternatingSpreads(
+                kPatchPasses,
+                [&] {
                     shard::ShardedCompiled sc =
                         seng.compile(exp.graph(), p1);
                     (void)sc;
-                }
-                row.shardCompileMs = secondsSince(t0) * 1e3 / reps;
-            }
-            {
-                const int reps = 40;
-                const Clock::time_point t0 = Clock::now();
-                for (int i = 0; i < reps; ++i)
-                    seng.recompilePartition(sps,
-                                            i % 2 == 0 ? p0 : p1);
-                row.shardMoveRepatchMs = secondsSince(t0) * 1e3 / reps;
-            }
+                },
+                [&] {
+                    seng.recompilePartition(sps, p0);
+                    seng.recompilePartition(sps, p1);
+                });
+            row.shardCompileMs = compile.scaled(1e3);
+            row.shardMoveRepatchMs = repatch.scaled(1e3 / 2);
         }
         rows.push_back(std::move(row));
     }
@@ -470,7 +458,7 @@ main()
     for (const Row &r : rows) {
         std::printf("%-9s | %8zu %6.1fms | %11.0f %11.0f %11.0f %11.0f "
                     "| %6.1fx %6.2fx | %s\n",
-                    r.name.c_str(), r.tasks, r.compileMs,
+                    r.name.c_str(), r.tasks, r.compileMs.median,
                     r.rebuild.simsPerSec, r.compiled.simsPerSec,
                     r.replayOnly.simsPerSec, r.batched.simsPerSec,
                     r.speedup(), r.batchedSpeedup(),
@@ -486,8 +474,9 @@ main()
     for (const Row &r : rows)
         std::printf("build    = %-5s buildHksGraph %.3f us/task (median "
                     "of %d; min %.3f, IQR %.3f)\n",
-                    r.name.c_str(), r.buildUsPerTask, kBuildTimedRuns,
-                    r.buildUsPerTaskMin, r.buildUsPerTaskIqr);
+                    r.name.c_str(), r.buildUsPerTask.median,
+                    kBuildTimedRuns, r.buildUsPerTask.min,
+                    r.buildUsPerTask.iqr);
     std::printf("rebuild  = RpuEngine::runRebuild per point (EventQueue "
                 "+ CodeGen re-lowered each simulate)\n");
     std::printf("compiled = HksExperiment::simulate (compile-once "
@@ -510,9 +499,10 @@ main()
     for (const Row &r : rows) {
         std::printf("%-9s | %6.2fms %7.3fms %7.1fx | %7.2fms %7.3fms "
                     "%7.1fx\n",
-                    r.name.c_str(), r.compileMs, r.channelRepatchMs,
-                    r.patchSpeedup(), r.shardCompileMs,
-                    r.shardMoveRepatchMs, r.shardMoveSpeedup());
+                    r.name.c_str(), r.compileMs.median,
+                    r.channelRepatchMs.median, r.patchSpeedup(),
+                    r.shardCompileMs.median, r.shardMoveRepatchMs.median,
+                    r.shardMoveSpeedup());
         meets_patch_target =
             meets_patch_target && r.patchSpeedup() >= 5.0;
     }
@@ -522,7 +512,10 @@ main()
     std::printf("shardcomp   = ShardedEngine::compile at K=4 (the cost "
                 "a partition move used to pay)\n");
     std::printf("moverepatch = ShardedEngine::recompilePartition after "
-                "a one-task move (dirty shards only re-place)\n");
+                "a one-task move (no re-lowering)\n");
+    std::printf("all four    = median per operation of %d alternating "
+                "compile/rebind passes\n",
+                kPatchPasses);
 
     std::printf("\n");
     benchutil::header("Traced replay: opt-in observer vs plain replay "
@@ -571,20 +564,21 @@ main()
             w.beginObject();
             w.field("benchmark", r.name);
             w.field("tasks", r.tasks);
-            w.field("compile_ms", r.compileMs);
-            w.field("graph_build_us_per_task", r.buildUsPerTask);
-            w.field("graph_build_us_per_task_min", r.buildUsPerTaskMin);
-            w.field("graph_build_us_per_task_iqr", r.buildUsPerTaskIqr);
+            benchutil::spreadFields(w, "compile_ms", r.compileMs);
+            benchutil::spreadFields(w, "graph_build_us_per_task",
+                                    r.buildUsPerTask);
             w.field("rebuild_sims_per_sec", r.rebuild.simsPerSec);
             w.field("compiled_sims_per_sec", r.compiled.simsPerSec);
             w.field("replay_sims_per_sec", r.replayOnly.simsPerSec);
             w.field("batched_sims_per_sec", r.batched.simsPerSec);
             w.field("speedup", r.speedup());
             w.field("batchedSpeedup", r.batchedSpeedup());
-            w.field("channel_repatch_ms", r.channelRepatchMs);
+            benchutil::spreadFields(w, "channel_repatch_ms",
+                                    r.channelRepatchMs);
             w.field("patchSpeedup", r.patchSpeedup());
-            w.field("shard_compile_ms", r.shardCompileMs);
-            w.field("shard_move_repatch_ms", r.shardMoveRepatchMs);
+            benchutil::spreadFields(w, "shard_compile_ms", r.shardCompileMs);
+            benchutil::spreadFields(w, "shard_move_repatch_ms",
+                                    r.shardMoveRepatchMs);
             w.field("shardMoveSpeedup", r.shardMoveSpeedup());
             w.field("traced_sims_per_sec", r.traced.simsPerSec);
             w.field("trace_overhead", r.traceOverhead());

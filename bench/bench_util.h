@@ -8,14 +8,18 @@
 #ifndef CIFLOW_BENCH_BENCH_UTIL_H
 #define CIFLOW_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/stats.h"
 #include "obs/metrics.h"
 #include "rpu/runner.h"
 
@@ -48,6 +52,54 @@ times(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.2fx", v);
     return buf;
+}
+
+/** Median, minimum and interquartile range of a host-time sample. */
+struct Spread
+{
+    double median = 0.0;
+    double min = 0.0;
+    double iqr = 0.0;
+
+    /** The same spread in units `f` times larger (e.g. s -> ms/op). */
+    Spread
+    scaled(double f) const
+    {
+        return {median * f, min * f, iqr * f};
+    }
+};
+
+/** Spread of a non-empty sample (sorts it). */
+inline Spread
+spreadOf(std::vector<double> &t)
+{
+    std::sort(t.begin(), t.end());
+    return {stats::percentileSorted(t, 0.5), t.front(),
+            stats::percentileSorted(t, 0.75) -
+                stats::percentileSorted(t, 0.25)};
+}
+
+/**
+ * Time `a` and `b` over `passes` alternating passes and return the
+ * spread of each side's seconds per pass. Alternation puts a slow
+ * phase of the host on both sides rather than on one, and the median
+ * of each side is what a ratio gate should compare.
+ */
+template <typename A, typename B>
+std::pair<Spread, Spread>
+alternatingSpreads(int passes, A &&a, B &&b)
+{
+    using Clock = std::chrono::steady_clock;
+    std::vector<double> ta(passes), tb(passes);
+    for (int i = 0; i < passes; ++i) {
+        Clock::time_point t0 = Clock::now();
+        a();
+        ta[i] = std::chrono::duration<double>(Clock::now() - t0).count();
+        t0 = Clock::now();
+        b();
+        tb[i] = std::chrono::duration<double>(Clock::now() - t0).count();
+    }
+    return {spreadOf(ta), spreadOf(tb)};
 }
 
 /**
@@ -233,6 +285,15 @@ class JsonWriter
     std::ostream &os;
     std::vector<char> first;
 };
+
+/** Emit `s` as the fields `name` (median), `name`_min and `name`_iqr. */
+inline void
+spreadFields(JsonWriter &w, const std::string &name, const Spread &s)
+{
+    w.field(name.c_str(), s.median);
+    w.field((name + "_min").c_str(), s.min);
+    w.field((name + "_iqr").c_str(), s.iqr);
+}
 
 } // namespace ciflow::benchutil
 

@@ -9,13 +9,13 @@
  * the patched schedule's cut is exactly what a from-scratch compile
  * of the post-failover placement would produce. Adoption by a single
  * survivor — rather than re-balancing across all of them — is the
- * policy on purpose: only two shards' placements change, so the
- * recompilePartition patch stays small and the migration traffic
- * targets one chip. Failover optimizes time-to-resume; steady-state
- * balance is a later re-partition's job. The shard count is unchanged (the dead chip keeps its
- * resource block, idle), which is what lets the failover ride the
- * ShardedEngine::recompilePartition patch path instead of a full
- * recompile.
+ * policy on purpose: only two shards' task sets change, so the
+ * migration traffic stays small and targets one chip. Failover
+ * optimizes time-to-resume; steady-state balance is a later
+ * re-partition's job. The shard count is unchanged (the dead chip
+ * keeps its resource block, idle), which is what lets the failover
+ * ride the ShardedEngine::recompilePartition patch path instead of a
+ * full recompile.
  *
  * Salvage model: results of tasks that completed before the failure
  * survive it (the fleet's memory pool holds them), but a moved task's

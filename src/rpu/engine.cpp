@@ -55,8 +55,8 @@ ChannelPlacer::place(std::uint64_t bytes, bool is_evk)
     }
     if (dedicateEvk && is_evk)
         return nchan - 1;
-    const std::size_t c = rr % dataChans;
-    ++rr;
+    const std::size_t c = rr;
+    rr = rr + 1 == dataChans ? 0 : rr + 1;
     return c;
 }
 
@@ -252,49 +252,12 @@ RpuEngine::recompileChannels(PatchableSchedule &ps) const
     }
 
     // Re-place the memory ops in op-stream order — the order every
-    // policy's placement sequence is defined over. Each policy runs
-    // as a tight loop over the role-split index instead of a per-op
-    // ChannelPlacer call; the loops reproduce ChannelPlacer's
-    // sequences exactly, and tests/test_patch.cpp pins the patched
-    // binding bit-identical to a fresh compile across policies.
-    const std::size_t nmem = ps.memIdx.size();
-    const std::uint32_t *idx = ps.memIdx.data();
-    sim::ResourceId *res = b.opRes;
-    if (cfg.channelPolicy == ChannelPolicy::LeastLoaded) {
-        std::vector<std::uint64_t> load(nchan, 0);
-        for (std::size_t k = 0; k < nmem; ++k) {
-            std::size_t best = 0;
-            for (std::size_t c = 1; c < nchan; ++c)
-                if (load[c] < load[best])
-                    best = c;
-            load[best] += ps.memIdxBytes[k];
-            res[idx[k]] = static_cast<sim::ResourceId>(best);
-        }
-    } else if (cfg.channelPolicy == ChannelPolicy::EvkDedicated &&
-               nchan >= 2) {
-        // Evk ops pin to the last channel and do not advance the
-        // round-robin cursor (exactly ChannelPlacer's rule).
-        const std::size_t data_chans = nchan - 1;
-        const sim::ResourceId evk_chan =
-            static_cast<sim::ResourceId>(nchan - 1);
-        std::size_t rr = 0;
-        for (std::size_t k = 0; k < nmem; ++k) {
-            if (ps.memIsEvk[k] != 0) {
-                res[idx[k]] = evk_chan;
-            } else {
-                res[idx[k]] = static_cast<sim::ResourceId>(rr);
-                rr = rr + 1 == data_chans ? 0 : rr + 1;
-            }
-        }
-    } else {
-        // Interleave (and EvkDedicated below two channels): plain
-        // round-robin over all channels, evk ops included.
-        std::size_t rr = 0;
-        for (std::size_t k = 0; k < nmem; ++k) {
-            res[idx[k]] = static_cast<sim::ResourceId>(rr);
-            rr = rr + 1 == nchan ? 0 : rr + 1;
-        }
-    }
+    // policy's placement sequence is defined over — with the same
+    // ChannelPlacer a fresh compile runs.
+    ChannelPlacer placer(cfg.channelPolicy, nchan);
+    for (std::size_t k = 0; k < ps.memIdx.size(); ++k)
+        b.opRes[ps.memIdx[k]] = static_cast<sim::ResourceId>(
+            placer.place(ps.memIdxBytes[k], ps.memIsEvk[k] != 0));
 
     ps.schedule.patchCommit(want.tag());
     ps.layout = want;

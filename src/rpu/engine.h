@@ -56,8 +56,9 @@ constexpr std::size_t kWorkShuffle = 1; ///< elems / shuffleElemsPerSec
  * Stateful memory-task placement across one RPU's DRAM channels.
  *
  * Implements every ChannelPolicy in one place so the compile path, the
- * rebuild reference path, and the multi-RPU shard compiler (which runs
- * one placer per chip) agree on placement by construction:
+ * rebuild reference path, the channel rebind (recompileChannels) and
+ * the multi-RPU shard bind (which runs one placer per chip) agree on
+ * placement by construction:
  *  - Interleave: round-robin over all channels.
  *  - EvkDedicated: evk streams own the last channel; everything else
  *    round-robins over the rest (Interleave below two channels).
@@ -73,10 +74,10 @@ class ChannelPlacer
     std::size_t place(const Task &t);
 
     /**
-     * Placement from the raw (bytes, isEvk) pair: the patch path's
-     * entry, which replays placement from cached op metadata without
-     * materializing Tasks. place(t) delegates here, so both paths
-     * run one state machine by construction.
+     * Placement from the raw (bytes, isEvk) pair: the rebind paths'
+     * entry, which replays placement from recorded op metadata
+     * without materializing Tasks. place(t) delegates here, so every
+     * path runs one state machine by construction.
      */
     std::size_t place(std::uint64_t bytes, bool is_evk);
 
@@ -158,11 +159,10 @@ struct PatchableSchedule
     RpuLayout layout;
 
     // Role-split index of the op stream, recorded by the lowering pass
-    // so recompileChannels can rebind each class in a tight loop
-    // instead of switching per op. memIdx keeps the mem ops in stream
-    // order — the order every ChannelPolicy's placement sequence is
-    // defined over. Together the three index arrays cover every op
-    // exactly once.
+    // so recompileChannels can rebind each class without switching
+    // per op. memIdx keeps the mem ops in stream order — the order a
+    // ChannelPlacer's sequence is defined over. Together the three
+    // index arrays cover every op exactly once.
     /** Op indices of the memory ops, in op-stream order. */
     std::vector<std::uint32_t> memIdx;
     /** 1 where memIdx[k] is an evk-stream op (parallel to memIdx). */

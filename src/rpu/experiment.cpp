@@ -194,16 +194,10 @@ HksExperiment::simulateRuntimeMany(
     const std::vector<double> &bandwidth_gbps, double modops_mult) const
 {
     const std::size_t n = bandwidth_gbps.size();
+    const std::vector<double> mults(n, modops_mult);
     std::vector<double> out(n);
-    BatchTls &tls = batchTls();
-    if (tls.cfgs.size() < n)
-        tls.cfgs.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        tls.cfgs[i] = RpuConfig{};
-        tls.cfgs[i].bandwidthGBps = bandwidth_gbps[i];
-        tls.cfgs[i].modopsMult = modops_mult;
-    }
-    simulateRuntimeMany(tls.cfgs.data(), n, out.data());
+    simulateRuntimeMany(bandwidth_gbps.data(), mults.data(), n,
+                        out.data());
     return out;
 }
 

@@ -1,5 +1,6 @@
 #include "shard/sharded_engine.h"
 
+#include <cmath>
 #include <string>
 #include <unordered_map>
 
@@ -45,20 +46,26 @@ shardedTag(const RpuLayout &chip, std::size_t shards, Topology topo)
 
 } // namespace
 
-void
-ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
-                           ShardedCompiled &sc,
-                           ShardedPatchable *meta) const
+ShardedCompiled
+ShardedEngine::compile(const TaskGraph &g, const Partition &p) const
+{
+    return compilePatchable(g, p).compiled;
+}
+
+ShardedPatchable
+ShardedEngine::compilePatchable(const TaskGraph &g,
+                                const Partition &p) const
 {
     g.validate();
     panicIf(p.shardOf.size() != g.size(),
             "partition does not cover the graph");
     const std::size_t k = p.shards;
     const std::size_t nchan = cfg.channelCount();
-    const std::size_t per_chip = nchan + cfg.computePipeCount();
 
+    ShardedPatchable ps;
+    ShardedCompiled &sc = ps.compiled;
     sc.shards = k;
-    sc.perChip = per_chip;
+    sc.perChip = nchan + cfg.computePipeCount();
     sc.links = net.linkCount(k);
 
     // Chip resource blocks first — channels then pipe(s) within each
@@ -75,8 +82,6 @@ ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
             sc.schedule.addResource(prefix + "compute");
         }
     }
-    const sim::ResourceId link_base =
-        static_cast<sim::ResourceId>(k * per_chip);
     if (net.topology == Topology::SharedBus) {
         if (sc.links > 0)
             sc.schedule.addResource("bus");
@@ -89,9 +94,10 @@ ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
                         std::to_string(b));
     }
 
-    // Exact totals up front (every cut edge becomes one single-op,
-    // single-dep transfer task) so the CSR build never reallocates.
-    std::size_t ndeps = p.cutEdges.size(), nops = p.cutEdges.size();
+    // Record the partition-independent lowering: dep lists, op cost
+    // templates, roles and payloads. The templates' resource ids are
+    // placeholders; bind() derives every id from the partition.
+    std::size_t ndeps = 0, nops = 0;
     for (const Task &t : g.tasks()) {
         ndeps += t.deps.size();
         nops += 1;
@@ -99,23 +105,100 @@ ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
             t.shuffleOps > 0)
             nops += 1;
     }
-    sc.schedule.reserve(g.size() + p.cutEdges.size(), ndeps, nops);
-    if (meta) {
-        const std::size_t graph_deps = ndeps - p.cutEdges.size();
-        const std::size_t graph_ops = nops - p.cutEdges.size();
-        meta->depOff.reserve(g.size() + 1);
-        meta->depOff.push_back(0);
-        meta->depIds.reserve(graph_deps);
-        meta->opOff.reserve(g.size() + 1);
-        meta->opOff.push_back(0);
-        meta->ops.reserve(graph_ops);
-        meta->roles.reserve(graph_ops);
-        meta->memBytes.reserve(graph_ops);
-        meta->chanOf.reserve(graph_ops);
-    }
+    ps.depOff.reserve(g.size() + 1);
+    ps.depOff.push_back(0);
+    ps.depIds.reserve(ndeps);
+    ps.opOff.reserve(g.size() + 1);
+    ps.opOff.push_back(0);
+    ps.ops.reserve(nops);
+    ps.roles.reserve(nops);
+    ps.memBytes.reserve(nops);
 
     const RpuEngine eng(cfg);
     const CodeGen cg(cfg.vectorLen);
+    ChannelPlacer placer(cfg.channelPolicy, nchan);
+    for (const Task &t : g.tasks()) {
+        ps.depIds.insert(ps.depIds.end(), t.deps.begin(), t.deps.end());
+        ps.depOff.push_back(static_cast<std::uint32_t>(ps.depIds.size()));
+        const std::size_t op0 = ps.ops.size();
+        eng.lowerTask(t, cg, placer, 0, ps.ops);
+        ps.opOff.push_back(static_cast<std::uint32_t>(ps.ops.size()));
+        if (t.kind == TaskKind::Compute) {
+            ps.roles.push_back(OpRole::Pipe0);
+            ps.memBytes.push_back(0);
+            if (ps.ops.size() - op0 > 1) {
+                ps.roles.push_back(OpRole::Pipe1);
+                ps.memBytes.push_back(0);
+            }
+        } else {
+            ps.roles.push_back(t.isEvk ? OpRole::MemEvk : OpRole::Mem);
+            ps.memBytes.push_back(t.bytes);
+        }
+    }
+
+    bind(ps, p, true);
+    return ps;
+}
+
+void
+ShardedEngine::recompilePartition(ShardedPatchable &ps,
+                                  const Partition &newP) const
+{
+    panicIf(newP.shards != ps.compiled.shards,
+            "partition repatch cannot change the shard count: the "
+            "chip resource blocks would resize, compile from scratch");
+    panicIf(ps.compiled.schedule.baseLayoutTag() !=
+                shardedTag(RpuLayout::of(cfg), newP.shards,
+                           net.topology),
+            "patchable sharded schedule was compiled under a "
+            "different engine configuration");
+    bind(ps, newP, false);
+}
+
+void
+ShardedEngine::bind(ShardedPatchable &ps, const Partition &p,
+                    bool fresh) const
+{
+    const std::size_t k = ps.compiled.shards;
+    const std::size_t n = ps.depOff.size() - 1;
+    panicIf(p.shardOf.size() != n,
+            "partition does not cover the compiled graph");
+    // Transfer ops carry the cut's byte counts (integers, always
+    // sane) and this engine's link latency, which no earlier check
+    // has seen on a rebind: the layout tag does not cover it.
+    panicIf(!p.cutEdges.empty() &&
+                !(std::isfinite(net.latencySec) && net.latencySec >= 0.0),
+            "transfer op with a negative or non-finite cost numerator "
+            "(interconnect latency)");
+
+    const std::size_t nchan = cfg.channelCount();
+    const std::size_t per_chip = ps.compiled.perChip;
+    const sim::ResourceId link_base =
+        static_cast<sim::ResourceId>(k * per_chip);
+
+    sim::CompiledSchedule &cs = ps.compiled.schedule;
+    cs.clearTasks();
+    // Exact totals (every cut edge becomes one single-op, single-dep
+    // transfer task), so the CSR build never reallocates.
+    cs.reserve(n + p.cutEdges.size(), ps.depIds.size() + p.cutEdges.size(),
+               ps.ops.size() + p.cutEdges.size());
+    ps.compiled.transferTasks = 0;
+    ps.compiled.transferBytes = 0;
+
+    // A fresh bind appends through the validated addTask (the
+    // compile-time watchdog sees every recorded template once). A
+    // rebind re-appends those same templates and transfer ops checked
+    // above, with dep ids from earlier iterations, so it skips the
+    // per-op checks, which dominated its cost; patchCommit still
+    // bounds-checks every resource id.
+    const auto append = [&](const sim::TaskId *deps, std::size_t nd,
+                            const sim::CompiledOp *ops, std::size_t no) {
+        return fresh ? cs.addTask(deps, nd, ops, no)
+                     : cs.addTaskTrusted(deps, nd, ops, no);
+    };
+
+    // Every shard places its memory ops from scratch, in its task
+    // order: the same placer sequence a single-chip compile runs.
     std::vector<ChannelPlacer> placers;
     placers.reserve(k);
     for (std::size_t s = 0; s < k; ++s)
@@ -126,33 +209,31 @@ ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
     std::unordered_map<std::uint64_t, std::size_t> cut_index;
     cut_index.reserve(p.cutEdges.size());
     for (std::size_t i = 0; i < p.cutEdges.size(); ++i)
-        cut_index.emplace(static_cast<std::uint64_t>(
-                              p.cutEdges[i].src) *
-                                  k +
-                              p.cutEdges[i].toShard,
-                          i);
+        cut_index.emplace(
+            static_cast<std::uint64_t>(p.cutEdges[i].src) * k +
+                p.cutEdges[i].toShard,
+            i);
     constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-    std::vector<sim::TaskId> transfer_id(p.cutEdges.size(), kUnset);
+    ps.transferId.assign(p.cutEdges.size(), kUnset);
+    ps.newId.resize(n);
 
-    std::vector<sim::TaskId> new_id(g.size());
-    std::vector<sim::TaskId> deps;
-    std::vector<sim::CompiledOp> ops;
-    for (const Task &t : g.tasks()) {
-        const std::uint32_t shard = p.shardOf[t.id];
-        deps.clear();
-        for (std::uint32_t d : t.deps) {
+    for (std::size_t t = 0; t < n; ++t) {
+        const std::uint32_t shard = p.shardOf[t];
+        ps.depScratch.clear();
+        for (std::uint32_t i = ps.depOff[t]; i < ps.depOff[t + 1];
+             ++i) {
+            const std::uint32_t d = ps.depIds[i];
             if (p.shardOf[d] == shard) {
-                deps.push_back(new_id[d]);
+                ps.depScratch.push_back(ps.newId[d]);
                 continue;
             }
-            const std::uint64_t key =
-                static_cast<std::uint64_t>(d) * k + shard;
-            const auto it = cut_index.find(key);
+            const auto it = cut_index.find(
+                static_cast<std::uint64_t>(d) * k + shard);
             panicIf(it == cut_index.end(),
                     "partition cut does not cover a cross-shard "
                     "dependency");
             const std::size_t idx = it->second;
-            if (transfer_id[idx] == kUnset) {
+            if (ps.transferId[idx] == kUnset) {
                 const CutEdge &e = p.cutEdges[idx];
                 sim::CompiledOp xfer;
                 xfer.resource =
@@ -161,159 +242,8 @@ ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
                         e.fromShard, e.toShard, k));
                 xfer.bytes = static_cast<double>(e.bytes);
                 xfer.postSeconds = net.latencySec;
-                transfer_id[idx] = sc.schedule.addTask(
-                    {new_id[d]}, {xfer});
-                ++sc.transferTasks;
-                sc.transferBytes += e.bytes;
-            }
-            deps.push_back(transfer_id[idx]);
-        }
-        ops.clear();
-        eng.lowerTask(t, cg, placers[shard],
-                      static_cast<sim::ResourceId>(shard * per_chip),
-                      ops);
-        new_id[t.id] = sc.schedule.addTask(deps, ops);
-        if (meta) {
-            meta->depIds.insert(meta->depIds.end(), t.deps.begin(),
-                                t.deps.end());
-            meta->depOff.push_back(
-                static_cast<std::uint32_t>(meta->depIds.size()));
-            meta->ops.insert(meta->ops.end(), ops.begin(), ops.end());
-            meta->opOff.push_back(
-                static_cast<std::uint32_t>(meta->ops.size()));
-            if (t.kind == TaskKind::Compute) {
-                meta->roles.push_back(OpRole::Pipe0);
-                meta->memBytes.push_back(0);
-                meta->chanOf.push_back(0);
-                if (ops.size() > 1) {
-                    meta->roles.push_back(OpRole::Pipe1);
-                    meta->memBytes.push_back(0);
-                    meta->chanOf.push_back(0);
-                }
-            } else {
-                meta->roles.push_back(t.isEvk ? OpRole::MemEvk
-                                              : OpRole::Mem);
-                meta->memBytes.push_back(t.bytes);
-                meta->chanOf.push_back(static_cast<std::uint32_t>(
-                    ops[0].resource - shard * per_chip));
-            }
-        }
-    }
-
-    if (meta) {
-        // Publish the graph -> schedule id mapping of this binding
-        // (recompilePartition refreshes it on every repatch), so
-        // consumers that track per-task state across rebinds — the
-        // fault layer's done masks — never re-derive the interleave.
-        meta->newId = new_id;
-        meta->transferId = transfer_id;
-    }
-    sc.schedule.setLayoutTag(
-        shardedTag(RpuLayout::of(cfg), k, net.topology));
-}
-
-ShardedCompiled
-ShardedEngine::compile(const TaskGraph &g, const Partition &p) const
-{
-    ShardedCompiled sc;
-    compileInto(g, p, sc, nullptr);
-    return sc;
-}
-
-ShardedPatchable
-ShardedEngine::compilePatchable(const TaskGraph &g,
-                                const Partition &p) const
-{
-    ShardedPatchable ps;
-    compileInto(g, p, ps.compiled, &ps);
-    ps.part = p;
-    return ps;
-}
-
-void
-ShardedEngine::recompilePartition(ShardedPatchable &ps,
-                                  const Partition &newP) const
-{
-    const std::size_t k = ps.compiled.shards;
-    const std::size_t n = ps.part.shardOf.size();
-    panicIf(newP.shards != k,
-            "partition repatch cannot change the shard count: the "
-            "chip resource blocks would resize, compile from scratch");
-    panicIf(newP.shardOf.size() != n,
-            "partition does not cover the compiled graph");
-    panicIf(ps.compiled.schedule.baseLayoutTag() !=
-                shardedTag(RpuLayout::of(cfg), k, net.topology),
-            "patchable sharded schedule was compiled under a "
-            "different engine configuration");
-
-    const std::size_t nchan = cfg.channelCount();
-    const std::size_t per_chip = ps.compiled.perChip;
-
-    // A shard is dirty when its membership changed (a task left or
-    // joined); only dirty shards re-run placement. A clean shard's
-    // task sequence is unchanged, so its placer would retrace the
-    // recorded channels — reuse them instead.
-    ps.shardDirty.assign(k, 0);
-    for (std::size_t t = 0; t < n; ++t)
-        if (ps.part.shardOf[t] != newP.shardOf[t]) {
-            ps.shardDirty[ps.part.shardOf[t]] = 1;
-            ps.shardDirty[newP.shardOf[t]] = 1;
-        }
-
-    std::vector<ChannelPlacer> placers;
-    placers.reserve(k);
-    for (std::size_t s = 0; s < k; ++s)
-        placers.emplace_back(cfg.channelPolicy, nchan);
-
-    sim::CompiledSchedule &cs = ps.compiled.schedule;
-    cs.clearTasks();
-    ps.compiled.transferTasks = 0;
-    ps.compiled.transferBytes = 0;
-
-    const sim::ResourceId link_base =
-        static_cast<sim::ResourceId>(k * per_chip);
-    std::unordered_map<std::uint64_t, std::size_t> cut_index;
-    cut_index.reserve(newP.cutEdges.size());
-    for (std::size_t i = 0; i < newP.cutEdges.size(); ++i)
-        cut_index.emplace(static_cast<std::uint64_t>(
-                              newP.cutEdges[i].src) *
-                                  k +
-                              newP.cutEdges[i].toShard,
-                          i);
-    constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-    ps.transferId.assign(newP.cutEdges.size(), kUnset);
-    if (ps.newId.size() < n)
-        ps.newId.resize(n);
-
-    for (std::size_t t = 0; t < n; ++t) {
-        const std::uint32_t shard = newP.shardOf[t];
-        ps.depScratch.clear();
-        for (std::uint32_t i = ps.depOff[t]; i < ps.depOff[t + 1];
-             ++i) {
-            const std::uint32_t d = ps.depIds[i];
-            if (newP.shardOf[d] == shard) {
-                ps.depScratch.push_back(ps.newId[d]);
-                continue;
-            }
-            const std::uint64_t key =
-                static_cast<std::uint64_t>(d) * k + shard;
-            const auto it = cut_index.find(key);
-            panicIf(it == cut_index.end(),
-                    "partition cut does not cover a cross-shard "
-                    "dependency");
-            const std::size_t idx = it->second;
-            if (ps.transferId[idx] == kUnset) {
-                const CutEdge &e = newP.cutEdges[idx];
-                sim::CompiledOp xfer;
-                xfer.resource =
-                    link_base +
-                    static_cast<sim::ResourceId>(net.linkIndex(
-                        e.fromShard, e.toShard, k));
-                xfer.bytes = static_cast<double>(e.bytes);
-                xfer.postSeconds = net.latencySec;
                 const sim::TaskId dep = ps.newId[d];
-                ps.transferId[idx] =
-                    cs.addTaskTrusted(&dep, 1, &xfer, 1);
+                ps.transferId[idx] = append(&dep, 1, &xfer, 1);
                 ++ps.compiled.transferTasks;
                 ps.compiled.transferBytes += e.bytes;
             }
@@ -329,19 +259,13 @@ ShardedEngine::recompilePartition(ShardedPatchable &ps,
             sim::CompiledOp o = ps.ops[i];
             switch (ps.roles[i]) {
             case OpRole::Mem:
-            case OpRole::MemEvk: {
-                const std::uint32_t chan =
-                    ps.shardDirty[shard]
-                        ? static_cast<std::uint32_t>(
-                              placers[shard].place(
-                                  ps.memBytes[i],
-                                  ps.roles[i] == OpRole::MemEvk))
-                        : ps.chanOf[i];
-                ps.chanOf[i] = chan;
-                o.resource =
-                    base + static_cast<sim::ResourceId>(chan);
+            case OpRole::MemEvk:
+                o.resource = base + static_cast<sim::ResourceId>(
+                                        placers[shard].place(
+                                            ps.memBytes[i],
+                                            ps.roles[i] ==
+                                                OpRole::MemEvk));
                 break;
-            }
             case OpRole::Pipe0:
                 o.resource = pipe0;
                 break;
@@ -351,21 +275,17 @@ ShardedEngine::recompilePartition(ShardedPatchable &ps,
             }
             ps.opScratch.push_back(o);
         }
-        // Trusted append: every template in ps.ops passed addTask's
-        // cost validation when compilePatchable recorded it, the
-        // transfer op's numerators are a cut byte count and a config
-        // latency (finite by construction), and dep ids come from
-        // newId/transferId entries of earlier loop iterations, so
-        // they precede the task being added. The validated addTask's
-        // per-op checks were the dominant cost of a rebind.
-        ps.newId[t] = cs.addTaskTrusted(ps.depScratch.data(),
-                                        ps.depScratch.size(),
-                                        ps.opScratch.data(),
-                                        ps.opScratch.size());
+        ps.newId[t] = append(ps.depScratch.data(), ps.depScratch.size(),
+                             ps.opScratch.data(), ps.opScratch.size());
     }
 
-    cs.patchCommit(shardedTag(RpuLayout::of(cfg), k, net.topology));
-    ps.part = newP;
+    const std::uint64_t tag =
+        shardedTag(RpuLayout::of(cfg), k, net.topology);
+    if (fresh)
+        cs.setLayoutTag(tag);
+    else
+        cs.patchCommit(tag);
+    ps.part = p;
 }
 
 namespace

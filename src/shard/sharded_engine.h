@@ -5,13 +5,17 @@
  *
  * compile() lays out K copies of the single-chip resource block
  * (DRAM channels first, then compute pipe(s) — the exact layout
- * RpuEngine::compile uses, produced by the same RpuEngine::lowerTask
- * lowering with a per-chip base offset and a per-chip ChannelPlacer),
- * followed by the interconnect's link channels. Every cut edge of the
- * Partition becomes one *transfer task* between its producer and the
- * first consumer on the destination chip: a bytes payload queued on
- * the link (transfers contend like DRAM traffic) plus a pipelined
- * propagation delay (CompiledOp::postSeconds).
+ * RpuEngine::compile uses), followed by the interconnect's link
+ * channels. It records every task's ops once, through the same
+ * RpuEngine::lowerTask lowering, and then binds them to the
+ * Partition in one pass: each op moves to its chip's block, each
+ * chip's memory ops are placed by that chip's own ChannelPlacer in
+ * task order, and every cut edge becomes one *transfer task* between
+ * its producer and the first consumer on the destination chip: a
+ * bytes payload queued on the link (transfers contend like DRAM
+ * traffic) plus a pipelined propagation delay
+ * (CompiledOp::postSeconds). recompilePartition() runs the same bind
+ * for a new partition of the recorded lowering.
  *
  * Because the per-chip lowering is shared with the single-RPU path, a
  * K=1 partition compiles to the identical op stream with no transfer
@@ -51,14 +55,13 @@ struct ShardedCompiled
 };
 
 /**
- * A sharded compile plus the cached lowering needed to rebind it to a
- * new partition without re-lowering: every graph task's dependency
- * list and compiled op templates (cost numerators, roles, exact
- * memory payloads) are recorded once by compilePatchable(), so a
- * partition move rebuilds only placement — dirty shards re-run their
- * ChannelPlacer, clean shards reuse the recorded channel of every op
- * (valid because placer state depends only on that shard's unchanged
- * task sequence) — and the transfer tasks of the new cut. The
+ * A sharded compile plus the partition-independent lowering it was
+ * bound from: every graph task's dependency list and compiled op
+ * templates (cost numerators, roles, exact memory payloads), recorded
+ * once by compilePatchable(). compile() and recompilePartition() both
+ * build the schedule from this record with one bind pass — cut
+ * transfers, dependency remap, and a fresh ChannelPlacer per shard —
+ * so a partition move never consults the graph or CodeGen again. The
  * schedule member replays exactly like a compile() result.
  */
 struct ShardedPatchable
@@ -67,31 +70,27 @@ struct ShardedPatchable
     /** Partition the schedule is currently bound to. */
     Partition part;
 
-    // Cached, partition-independent lowering (built once): graph task
-    // t's deps are depIds[depOff[t]..depOff[t+1]) and its op
-    // templates are index range [opOff[t], opOff[t+1]) below.
+    // Partition-independent lowering (recorded once): graph task t's
+    // deps are depIds[depOff[t]..depOff[t+1]) and its op templates
+    // are index range [opOff[t], opOff[t+1]) below.
     std::vector<std::uint32_t> depOff;
     std::vector<std::uint32_t> depIds;
     std::vector<std::uint32_t> opOff;
-    /** Op cost numerators (resource re-derived at each rebind). */
+    /** Op cost numerators (resource derived at each bind). */
     std::vector<sim::CompiledOp> ops;
-    /** Role per cached op (selects channel vs pipe rebinding). */
+    /** Role per recorded op (selects channel vs pipe binding). */
     std::vector<OpRole> roles;
     /** Memory-op payload in bytes (0 for pipe ops). */
     std::vector<std::uint64_t> memBytes;
 
-    /** Within-chip channel currently bound per memory op. */
-    std::vector<std::uint32_t> chanOf;
-
-    // Reusable recompile scratch (allocation-free once warm). newId
-    // and transferId double as the *current* graph -> schedule id
+    // Reusable bind scratch (allocation-free once warm). newId and
+    // transferId double as the *current* graph -> schedule id
     // mapping: after compilePatchable or recompilePartition, graph
     // task t is schedule task newId[t] and cut edge j's transfer is
     // schedule task transferId[j] (or ~0 if the edge never
     // materialized) — the fault layer's done masks rely on this.
     std::vector<sim::TaskId> newId, transferId, depScratch;
     std::vector<sim::CompiledOp> opScratch;
-    std::vector<char> shardDirty;
 };
 
 /** Aggregate results of one sharded simulation. */
@@ -125,32 +124,30 @@ class ShardedEngine
     /**
      * Lower `g` under partition `p` once. The result can be replayed
      * at any rates of a config sharing the chip layout and topology.
+     * Runs compilePatchable() and keeps only its schedule.
      */
     ShardedCompiled compile(const TaskGraph &g,
                             const Partition &p) const;
 
     /**
-     * compile() plus the cached lowering recompilePartition() needs:
-     * the schedule is built by the same pass (bit-identical to
-     * compile()), with the per-task dep lists and op templates
-     * recorded along the way so later partition moves never consult
-     * the graph or CodeGen again.
+     * Record the partition-independent lowering of `g`, then bind it
+     * to `p`. The bind appends through the validated addTask, so the
+     * compile-time watchdog sees every recorded op template.
      */
     ShardedPatchable compilePatchable(const TaskGraph &g,
                                       const Partition &p) const;
 
     /**
-     * Rebind `ps` to partition `newP` in place: the task CSR is
-     * rebuilt from the cached op templates (no graph, no CodeGen, no
-     * re-lowering), shards whose membership changed re-run channel
-     * placement, untouched shards reuse their existing channel
-     * binding, and the new cut's transfer tasks are materialized
-     * exactly as compile() would. Commits a patch revision (distinct
-     * layoutTag). The shard count cannot change — that resizes the
-     * resource table's chip blocks, so compile from scratch. The
-     * result is bit-identical to compile(g, newP)
-     * (tests/test_patch.cpp pins move sequences against from-scratch
-     * compiles of the final partition).
+     * Rebind `ps` to partition `newP` in place with the same bind
+     * pass compile() runs: the task CSR is rebuilt from the recorded
+     * op templates (no graph, no CodeGen, no re-lowering), every shard
+     * re-runs channel placement, and the new cut's transfer tasks are
+     * materialized. Commits a patch revision (distinct layoutTag).
+     * The shard count cannot change — that resizes the resource
+     * table's chip blocks, so compile from scratch. The result is
+     * bit-identical to compile(g, newP) (tests/test_patch.cpp pins
+     * move sequences against from-scratch compiles of the final
+     * partition).
      */
     void recompilePartition(ShardedPatchable &ps,
                             const Partition &newP) const;
@@ -189,12 +186,15 @@ class ShardedEngine
 
   private:
     /**
-     * Shared lowering pass of compile()/compilePatchable(): builds
-     * the schedule into `sc`, recording the patch caches when `meta`
-     * is non-null, so the two entry points cannot drift.
+     * The one bind pass: rebuilds ps.compiled's tasks for partition
+     * `p` from the recorded lowering. A `fresh` bind appends through
+     * the validated addTask and stamps the layout tag; a rebind
+     * appends trusted and commits a patch revision. Either way it
+     * panics on a non-finite or negative link latency, the one
+     * transfer numerator no other check covers.
      */
-    void compileInto(const TaskGraph &g, const Partition &p,
-                     ShardedCompiled &sc, ShardedPatchable *meta) const;
+    void bind(ShardedPatchable &ps, const Partition &p,
+              bool fresh) const;
 
     RpuConfig cfg;
     InterconnectConfig net;

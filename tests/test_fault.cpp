@@ -349,6 +349,26 @@ TEST(Watchdog, NonFiniteNumeratorsDieAtCompileTime)
     op.seconds = std::numeric_limits<double>::quiet_NaN();
     EXPECT_DEATH(cs.addTask({}, {op}),
                  "negative or non-finite cost numerator");
+
+    // A sharded schedule's transfer ops take the interconnect latency
+    // as their propagation numerator, so a fresh compile and a
+    // partition rebind through an engine with a bad latency both die
+    // (the layout tag a rebind checks does not cover latency).
+    Rig rig(2);
+    ASSERT_FALSE(rig.part.cutEdges.empty());
+    shard::ShardedPatchable ps =
+        shard::ShardedEngine(rig.chip, rig.net)
+            .compilePatchable(rig.g, rig.part);
+    for (double latency :
+         {std::numeric_limits<double>::quiet_NaN(), kInf, -1e-9}) {
+        InterconnectConfig bad = rig.net;
+        bad.latencySec = latency;
+        const shard::ShardedEngine eng(rig.chip, bad);
+        EXPECT_DEATH(eng.compile(rig.g, rig.part),
+                     "negative or non-finite cost numerator");
+        EXPECT_DEATH(eng.recompilePartition(ps, rig.part),
+                     "negative or non-finite cost numerator");
+    }
 }
 
 TEST(Watchdog, DegenerateRatesDieAndTryReplayReports)
