@@ -4,7 +4,9 @@
  * well-formed output on the happy path, and the non-finite-double
  * guard — a NaN or Inf metric must kill the emitting harness with the
  * offending key named, never surface as invalid JSON for the CI jq
- * gates to choke on.
+ * gates to choke on. Also the timing-spread helpers the harnesses'
+ * ratio gates read: median/min/IQR, alternating passes, and the
+ * _min/_iqr field triple.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "obs/metrics.h"
@@ -101,6 +104,42 @@ TEST(JsonWriterDeath, InfDoublePanicsNamingTheKey)
                     -std::numeric_limits<double>::infinity());
         },
         "non-finite double for key \"slowdown\"");
+}
+
+// Nearest-rank quartiles of {1..5}: median 3, Q1 2, Q3 4.
+TEST(Spread, MedianMinIqrScaledAndEmittedAsThreeFields)
+{
+    std::vector<double> t = {5.0, 1.0, 4.0, 2.0, 3.0};
+    const ciflow::benchutil::Spread s = ciflow::benchutil::spreadOf(t);
+    EXPECT_EQ(s.median, 3.0);
+    EXPECT_EQ(s.min, 1.0);
+    EXPECT_EQ(s.iqr, 2.0);
+    const ciflow::benchutil::Spread ms = s.scaled(1e3);
+    EXPECT_EQ(ms.median, 3e3);
+    EXPECT_EQ(ms.min, 1e3);
+    EXPECT_EQ(ms.iqr, 2e3);
+
+    std::ostringstream os;
+    JsonWriter w(os);
+    ciflow::benchutil::spreadFields(w, "compile_ms", s);
+    w.finish();
+    const std::string doc = os.str();
+    EXPECT_NE(doc.find("\"compile_ms\": 3"), std::string::npos);
+    EXPECT_NE(doc.find("\"compile_ms_min\": 1"), std::string::npos);
+    EXPECT_NE(doc.find("\"compile_ms_iqr\": 2"), std::string::npos);
+}
+
+// Both sides run once per pass, strictly alternating, and every pass
+// contributes one sample per side.
+TEST(Spread, AlternatingPassesInterleaveTheTwoSides)
+{
+    std::string order;
+    const auto [a, b] = ciflow::benchutil::alternatingSpreads(
+        4, [&] { order += 'a'; }, [&] { order += 'b'; });
+    EXPECT_EQ(order, "abababab");
+    EXPECT_GE(a.median, 0.0);
+    EXPECT_GE(b.iqr, 0.0);
+    EXPECT_LE(a.min, a.median);
 }
 
 } // namespace
